@@ -42,12 +42,8 @@ model = shapley_prior.fit(
 )
 
 # --- predict the held-out 20 and compare ---------------------------------
-preds, sds = [], []
-for x in X[test]:
-    mean, cov = shapley_prior.predict(model, x)
-    preds.append(mean)
-    sds.append(np.sqrt(np.maximum(np.diag(cov), 0.0)))
-preds, sds = np.array(preds), np.array(sds)
+preds, covs = shapley_prior.predict_batch(model, X[test])
+sds = np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
 
 rmse = np.sqrt(np.mean((preds - batch.means[test]) ** 2))
 baseline = np.sqrt(np.mean((batch.means[train].mean(0) - batch.means[test]) ** 2))

@@ -16,7 +16,7 @@ import click
 import numpy as np
 from scipy import stats
 
-from . import analysis, coalition, explain, gp, kernels, shapley_prior
+from . import analysis, cme, coalition, explain, gp, kernels, shapley_prior
 from .errors import SsvkitError
 
 
@@ -259,18 +259,13 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
             variance=1.0, lengthscales=kernels.median_heuristic(X)
         )
         if lam is None:
-            lam = 1e-3 * anchor_pts.shape[0]
+            lam = cme.default_lambda(anchor_pts.shape[0])
         model = shapley_prior.fit(data, anchor_pts, params, design, lam, noise)
-        out = {"means": [], "cov": []}
-        for x in X_new:
-            mean, cov = shapley_prior.predict(model, x)
-            out["means"].append(mean.tolist())
-            out["cov"].append(cov.tolist())
+        means, covs = shapley_prior.predict_batch(model, X_new)
+        out = {"means": means.tolist(), "cov": covs.tolist()}
         if credible:
             z = float(stats.norm.ppf(0.5 * (1 + credible)))
-            sds = np.array([np.sqrt(np.maximum(np.diag(np.asarray(c)), 0.0))
-                            for c in out["cov"]])
-            means = np.asarray(out["means"])
+            sds = np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
             out["credible_level"] = credible
             out["lo"], out["hi"] = (means - z * sds).tolist(), (means + z * sds).tolist()
     except ValueError as exc:

@@ -1,14 +1,19 @@
 """Conditional-mean-embedding weights linking the GP posterior to the game.
 
-For each coalition S and explained instance x, the weight vector
-b(x, S) = (K_S + lambda*I)^-1 k_S(X_inducing, x) turns posterior values at
-the inducing rows into the estimated conditional expectation of the model
-given the features in S.  The per-coalition factorization is computed once
-and shared across all explained instances.
+For each coalition S and input x, the weight vector
+b(x, S) = (K_S + lambda*I)^-1 k_S(rows, x) turns values at a fixed set of
+rows (the posterior's inducing rows for ``explain``, the anchors for the
+Shapley prior) into the estimated conditional expectation given the
+features in S.  Every coalition's K_S + lambda*I is factored exactly
+once.  ``CoalitionEmbedding`` keeps the factors, for callers that map
+batches again and again (the Shapley prior): it maps whole batches to B(X)
+and to the projected maps A.B(X) without factoring again.
+``embedding_batch`` maps one batch and drops each factor after its solve.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +22,75 @@ from . import kernels, numerics
 from .coalition import CoalitionDesign, StochasticGame
 from .errors import DesignMismatch
 from .gp import GPPosterior
-from .kernels import FeatureSubset
+from .kernels import FeatureSubset, KernelParams
+from .numerics import CholeskyFactor
 
 
 def default_lambda(n_inducing: int) -> float:
     """Regularizer scaled with the embedding sample size."""
     return 1e-3 * n_inducing
+
+
+def _coalition_factor(kernel: KernelParams, subset: FeatureSubset, rows: np.ndarray,
+                      lam: float) -> CholeskyFactor:
+    """Cholesky factor of K_S + lambda*I over the embedding rows."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    K_s = kernels.gram(kernel, subset, rows, rows)
+    return numerics.cholesky_psd(K_s + lam * np.eye(rows.shape[0]))
+
+
+def _solve_all(kernel: KernelParams, rows: np.ndarray,
+               coalitions: tuple[FeatureSubset, ...], factors: Iterable[CholeskyFactor],
+               X: np.ndarray) -> np.ndarray:
+    """B(X), shape (n_coalitions, m, n), from one factor per coalition.
+
+    ``factors`` may be a one-pass iterator, so a caller that maps a single
+    batch can drop each factor as soon as it has been used.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty((len(coalitions), rows.shape[0], X.shape[0]))
+    for j, (subset, factor) in enumerate(zip(coalitions, factors)):
+        out[j] = factor.solve(kernels.gram(kernel, subset, rows, X))
+    return out
+
+
+def project(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Contract A (d x ell) into B (ell x m x n), giving shape (n, d, m)."""
+    ell, m, n = B.shape
+    return (A @ B.reshape(ell, m * n)).reshape(A.shape[0], m, n).transpose(2, 0, 1)
+
+
+@dataclass(frozen=True)
+class CoalitionEmbedding:
+    """Per-coalition factors of K_S + lambda*I over fixed embedding rows.
+
+    ``factors[j]`` belongs to ``design.coalitions[j]``.  Mapping inputs
+    only builds k_S(rows, X) and back-substitutes; it never factors.
+    """
+
+    kernel: KernelParams
+    rows: np.ndarray                        # m x d
+    design: CoalitionDesign
+    lam: float
+    factors: tuple[CholeskyFactor, ...]
+
+    def weights(self, X: np.ndarray) -> np.ndarray:
+        """B(X): CME weights, shape (n_coalitions, m, n)."""
+        return _solve_all(self.kernel, self.rows, self.design.coalitions, self.factors, X)
+
+    def projected(self, X: np.ndarray) -> np.ndarray:
+        """A.B(X): projected embedding maps, shape (n, d, m)."""
+        return project(self.design.A, self.weights(X))
+
+
+def coalition_embedding(kernel: KernelParams, rows: np.ndarray, design: CoalitionDesign,
+                        lam: float) -> CoalitionEmbedding:
+    """Factor K_S + lambda*I once for every coalition of ``design``."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    factors = tuple(_coalition_factor(kernel, c, rows, lam) for c in design.coalitions)
+    return CoalitionEmbedding(kernel=kernel, rows=rows, design=design, lam=lam,
+                              factors=factors)
 
 
 @dataclass(frozen=True)
@@ -40,7 +108,7 @@ class EmbeddingBatch:
 
     design: CoalitionDesign
     X_explain: np.ndarray
-    per_coalition: tuple[EmbeddingWeights, ...]
+    weights: np.ndarray                     # n_coalitions x n_inducing x n_instances
     lam: float
 
     @property
@@ -49,23 +117,25 @@ class EmbeddingBatch:
 
     @property
     def n_inducing(self) -> int:
-        return self.per_coalition[0].weights.shape[0]
+        return self.weights.shape[1]
+
+    @property
+    def per_coalition(self) -> tuple[EmbeddingWeights, ...]:
+        return tuple(EmbeddingWeights(coalition=c, lam=self.lam, weights=w)
+                     for c, w in zip(self.design.coalitions, self.weights))
 
     def tensor(self) -> np.ndarray:
         """Stacked weights, shape (n_coalitions, n_inducing, n_instances)."""
-        return np.stack([w.weights for w in self.per_coalition])
+        return self.weights
 
 
 def embedding_weights(posterior: GPPosterior, subset: FeatureSubset,
                       X_explain: np.ndarray, lam: float) -> EmbeddingWeights:
     """CME weight columns for one coalition at a batch of instances."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     X_explain = np.atleast_2d(np.asarray(X_explain, dtype=float))
     Xi = posterior.inducing_points
-    K_s = kernels.gram(posterior.kernel, subset, Xi, Xi)
+    factor = _coalition_factor(posterior.kernel, subset, Xi, lam)
     k_sx = kernels.gram(posterior.kernel, subset, Xi, X_explain)
-    factor = numerics.cholesky_psd(K_s + lam * np.eye(Xi.shape[0]))
     return EmbeddingWeights(coalition=subset, lam=lam, weights=factor.solve(k_sx))
 
 
@@ -81,10 +151,13 @@ def embedding_batch(posterior: GPPosterior, design: CoalitionDesign,
         raise DesignMismatch("posterior and design disagree on feature count")
     if lam is None:
         lam = default_lambda(posterior.n_inducing)
-    per = tuple(
-        embedding_weights(posterior, c, X_explain, lam) for c in design.coalitions
-    )
-    return EmbeddingBatch(design=design, X_explain=X_explain, per_coalition=per, lam=lam)
+    # One batch only: each factor is dropped right after its solve instead of
+    # being kept in a CoalitionEmbedding (ell*m^2 floats, 328 MB at d=10, m=200).
+    kernel, Xi = posterior.kernel, posterior.inducing_points
+    factors = (_coalition_factor(kernel, c, Xi, lam) for c in design.coalitions)
+    return EmbeddingBatch(design=design, X_explain=X_explain, lam=lam,
+                          weights=_solve_all(kernel, Xi, design.coalitions, factors,
+                                             X_explain))
 
 
 def game_moments(posterior: GPPosterior, batch: EmbeddingBatch) -> list[StochasticGame]:

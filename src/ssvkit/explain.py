@@ -131,8 +131,9 @@ def gpshap(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarra
     """Analytic Gaussian explanations under the GP posterior.
 
     Means are A applied to the estimated payoff means; the covariance
-    factor contracts the embedding weights with the Cholesky factor of the
-    posterior covariance and then with A.
+    factor contracts A into the embedding weights first (d x n_I per
+    instance) and only then with the Cholesky factor of the posterior
+    covariance, so no coalition-sized tensor beyond the weights is built.
     """
     batch = cme.embedding_batch(posterior, design, X_explain, lam)
     B = batch.tensor()                                     # ell x n_I x n
@@ -144,8 +145,7 @@ def gpshap(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarra
         L = np.zeros_like(posterior.cov_at_inducing)
     else:
         L = numerics.cholesky_psd(posterior.cov_at_inducing, max_jitter=1e-8).lower
-    Q = np.einsum("jik,il->jkl", B, L)                     # ell x n x n_I
-    R = np.einsum("ij,jkl->ikl", design.A, Q)              # d x n x n_I
+    R = (cme.project(design.A, B) @ L).transpose(1, 0, 2)  # d x n x n_I
     return ExplanationBatch(
         means=means, cov_factor=R, design=design, payoff_means=E,
         feature_names=feature_names,

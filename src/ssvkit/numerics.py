@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy import linalg
 
 from .errors import JitterExceeded, NonFinite
 
@@ -33,7 +33,7 @@ class CholeskyFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (L L^T) x = rhs."""
-        return cho_solve((self.lower, True), rhs)
+        return linalg.cho_solve((self.lower, True), rhs)
 
     def logdet(self) -> float:
         """Log-determinant of the factored matrix."""
@@ -61,12 +61,9 @@ def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER) -> Chole
     eye = np.eye(m.shape[0])
     while True:
         try:
-            lower = cholesky(m + jitter * eye, lower=True)
+            lower = linalg.cholesky(m + jitter * eye, lower=True)
             return CholeskyFactor(lower=lower, jitter_used=jitter)
         except np.linalg.LinAlgError:
-            pass
-        except Exception:
-            # scipy raises LinAlgError too, but guard against dlascl issues
             pass
         jitter = INITIAL_JITTER if jitter == 0.0 else jitter * JITTER_GROWTH
         if jitter > max_jitter:
@@ -139,6 +136,7 @@ def is_psd(m: np.ndarray, tol_jitter: float = 1e-8) -> bool:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average a matrix with its transpose so entries match exactly."""
+    """Average a matrix (or a stack of them) with its transpose so entries
+    match exactly."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))

@@ -6,6 +6,12 @@ the explanation function itself.  Fitting that prior to previously
 computed explanations (from any SHAP-style source) yields predictive
 explanations with uncertainty for unseen inputs, without access to the
 underlying model.
+
+``fit`` factors every coalition's anchor gram once, in a
+``cme.CoalitionEmbedding`` that the fitted model keeps.  Prediction is
+batched: ``predict_batch`` maps all new inputs through that embedding and
+one solve against the training gram, and does no factorizations;
+``predict`` is its one-input case.
 """
 
 from __future__ import annotations
@@ -15,12 +21,16 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels, numerics
+from . import cme, kernels, numerics
 from .coalition import CoalitionDesign
 from .kernels import KernelParams
 from .numerics import CholeskyFactor
 
 MAX_SYSTEM_SIZE = 4000
+# predict_batch works through the new inputs in blocks whose largest array
+# (cross-kernel or embedding weights) has at most this many entries, so
+# memory stays bounded however many inputs one call receives.
+PREDICT_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -54,19 +64,22 @@ class ShapleyPriorModel:
     """Fitted multi-output GP over explanation functions.
 
     ``alpha`` holds the dual coefficients in instance-major d-blocks:
-    block a occupies entries [a*d, (a+1)*d).
+    block a occupies entries [a*d, (a+1)*d).  ``F`` stacks the training
+    inputs' projected maps A.B(x_a) in the same order, so the training
+    gram is ``F K F^T`` with K the full-coalition anchor gram.
     """
 
-    anchors: np.ndarray
-    kernel: KernelParams
-    design: CoalitionDesign
-    lam: float
+    embedding: cme.CoalitionEmbedding
     noise: float
     alpha: np.ndarray
     training_X: np.ndarray
-    _gram_factor: Optional[CholeskyFactor] = None
-    _anchor_gram: Optional[np.ndarray] = None
-    _training_maps: Optional[tuple[np.ndarray, ...]] = None
+    F: np.ndarray                           # (n*d) x n_anchors
+    anchor_gram: np.ndarray                 # n_anchors x n_anchors
+    gram_factor: Optional[CholeskyFactor]   # of F K F^T + noise*I; None if n == 0
+
+    @property
+    def design(self) -> CoalitionDesign:
+        return self.embedding.design
 
     @property
     def n(self) -> int:
@@ -83,30 +96,14 @@ def _embedding_map(anchors: np.ndarray, kernel: KernelParams,
 
     Row products M(x) K M(x')^T realize the explanation kernel.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n_anchor = anchors.shape[0]
-    B = np.empty((design.n_coalitions, n_anchor))
-    eye = lam * np.eye(n_anchor)
-    for j, subset in enumerate(design.coalitions):
-        K_s = kernels.gram(kernel, subset, anchors, anchors)
-        k_sx = kernels.gram(kernel, subset, anchors, x)
-        B[j] = numerics.cholesky_psd(K_s + eye).solve(k_sx)[:, 0]
-    return design.A @ B
+    return cme.coalition_embedding(kernel, anchors, design, lam).projected(x)[0]
 
 
 def kappa(model: ShapleyPriorModel, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Matrix-valued explanation kernel between two inputs, shape d x d."""
-    Mx = _embedding_map(model.anchors, model.kernel, model.design, model.lam, x)
-    Mx2 = _embedding_map(model.anchors, model.kernel, model.design, model.lam, x2)
-    K = _anchor_gram(model)
-    return Mx @ K @ Mx2.T
-
-
-def _anchor_gram(model: ShapleyPriorModel) -> np.ndarray:
-    if model._anchor_gram is not None:
-        return model._anchor_gram
-    full = kernels.FeatureSubset.full(model.d)
-    return kernels.gram(model.kernel, full, model.anchors, model.anchors)
+    Mx = model.embedding.projected(x)[0]
+    Mx2 = model.embedding.projected(x2)[0]
+    return Mx @ model.anchor_gram @ Mx2.T
 
 
 def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
@@ -123,59 +120,50 @@ def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
         )
     full = kernels.FeatureSubset.full(d)
     K_anchor = kernels.gram(kernel, full, anchors, anchors)
-    if n == 0:
-        return ShapleyPriorModel(
-            anchors=anchors, kernel=kernel, design=design, lam=lam, noise=noise,
-            alpha=np.zeros(0), training_X=np.zeros((0, d)), _anchor_gram=K_anchor,
-        )
-    maps = [_embedding_map(anchors, kernel, design, lam, data.X[a]) for a in range(n)]
-    big = np.empty((n * d, n * d))
-    for a in range(n):
-        rowa = maps[a] @ K_anchor
-        for b in range(a, n):
-            block = rowa @ maps[b].T
-            big[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
-            if b != a:
-                big[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
-    big = numerics.symmetrize(big)
-    factor = numerics.cholesky_psd(big + noise * np.eye(n * d))
-    alpha = factor.solve(data.Phi.reshape(-1))
+    embedding = cme.coalition_embedding(kernel, anchors, design, lam)
+    F = embedding.projected(data.X).reshape(n * d, anchors.shape[0])
+    factor, alpha = None, np.zeros(0)
+    if n > 0:
+        gram = numerics.symmetrize(F @ K_anchor @ F.T)
+        factor = numerics.cholesky_psd(gram + noise * np.eye(n * d))
+        alpha = factor.solve(data.Phi.reshape(-1))
     return ShapleyPriorModel(
-        anchors=anchors, kernel=kernel, design=design, lam=lam, noise=noise,
-        alpha=alpha, training_X=data.X, _gram_factor=factor, _anchor_gram=K_anchor,
-        _training_maps=tuple(maps),
+        embedding=embedding, noise=noise, alpha=alpha, training_X=data.X, F=F,
+        anchor_gram=K_anchor, gram_factor=factor,
     )
 
 
-def _training_map(model: ShapleyPriorModel, a: int) -> np.ndarray:
-    if model._training_maps is not None:
-        return model._training_maps[a]
-    return _embedding_map(model.anchors, model.kernel, model.design, model.lam,
-                          model.training_X[a])
+def _predict_block(model: ShapleyPriorModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n_new, d = X.shape[0], model.d
+    n_train_rows, m = model.F.shape
+    M = model.embedding.projected(X)                       # n_new x d x m
+    MK = M @ model.anchor_gram
+    cov = MK @ M.transpose(0, 2, 1)                        # prior kappa(x, x)
+    if model.n == 0:
+        return np.zeros((n_new, d)), cov
+    cross = MK.reshape(n_new * d, m) @ model.F.T           # kappa(x, X_train) rows
+    means = (cross @ model.alpha).reshape(n_new, d)
+    solved = model.gram_factor.solve(cross.T).T.reshape(n_new, d, n_train_rows)
+    cov = cov - cross.reshape(n_new, d, n_train_rows) @ solved.transpose(0, 2, 1)
+    return means, numerics.symmetrize(cov)
 
 
-def _cross_kernel(model: ShapleyPriorModel, x_new: np.ndarray) -> np.ndarray:
-    """kappa(x_new, X_train) laid out as a d x (n*d) matrix."""
-    Mx = _embedding_map(model.anchors, model.kernel, model.design, model.lam, x_new)
-    K = _anchor_gram(model)
-    d, n = model.d, model.n
-    out = np.empty((d, n * d))
-    left = Mx @ K
-    for a in range(n):
-        out[:, a * d:(a + 1) * d] = left @ _training_map(model, a).T
-    return out
+def predict_batch(model: ShapleyPriorModel,
+                  X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive means (n x d) and covariances (n x d x d) at new inputs."""
+    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+    per_input = max(model.d * model.F.shape[0],
+                    model.design.n_coalitions * model.F.shape[1])
+    step = max(1, PREDICT_BLOCK_ENTRIES // per_input)
+    means, covs = zip(*(_predict_block(model, X_new[lo:lo + step])
+                        for lo in range(0, max(X_new.shape[0], 1), step)))
+    return np.concatenate(means), np.concatenate(covs)
 
 
 def predict(model: ShapleyPriorModel, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive mean and covariance of the explanation at a new input."""
-    prior_cov = kappa(model, x_new, x_new)
-    if model.n == 0:
-        return np.zeros(model.d), prior_cov
-    cross = _cross_kernel(model, x_new)
-    mean = cross @ model.alpha
-    solved = model._gram_factor.solve(cross.T)
-    cov = numerics.symmetrize(prior_cov - cross @ solved)
-    return mean, cov
+    means, covs = predict_batch(model, np.reshape(x_new, (1, -1)))
+    return means[0], covs[0]
 
 
 def induced_payoff(model: ShapleyPriorModel, x_new: np.ndarray) -> np.ndarray:
@@ -184,24 +172,10 @@ def induced_payoff(model: ShapleyPriorModel, x_new: np.ndarray) -> np.ndarray:
     v_tilde = B(x_new) K * sum_a B(x_a)^T A^T alpha_a, so
     A @ v_tilde == predict(model, x_new)[0].
     """
-    n, d = model.n, model.d
-    if n == 0:
+    if model.n == 0:
         return np.zeros(model.design.n_coalitions)
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-    # raw (un-projected) embedding of x_new over coalitions
-    anchors, kernel, design, lam = model.anchors, model.kernel, model.design, model.lam
-    n_anchor = anchors.shape[0]
-    B_new = np.empty((design.n_coalitions, n_anchor))
-    eye = lam * np.eye(n_anchor)
-    for j, subset in enumerate(design.coalitions):
-        K_s = kernels.gram(kernel, subset, anchors, anchors)
-        k_sx = kernels.gram(kernel, subset, anchors, x_new)
-        B_new[j] = numerics.cholesky_psd(K_s + eye).solve(k_sx)[:, 0]
-    K = _anchor_gram(model)
-    acc = np.zeros(n_anchor)
-    for a in range(n):
-        acc += _training_map(model, a).T @ model.alpha[a * d:(a + 1) * d]
-    return B_new @ K @ acc
+    B_new = model.embedding.weights(x_new)[:, :, 0]        # ell x n_anchors
+    return B_new @ model.anchor_gram @ (model.F.T @ model.alpha)
 
 
 def farthest_point_anchors(X: np.ndarray, count: int) -> np.ndarray:

@@ -292,8 +292,13 @@ def test_10_folded_mean(mc_setup):
     assert np.all(gi.mean_abs_ssv >= gi.abs_mean_ssv - 1e-12)
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _run_cli(args, cwd, threads=None):
+    # the child runs in cwd, so the package path must be absolute
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if threads is not None:
         env["SSVKIT_THREADS"] = str(threads)
     return subprocess.run(

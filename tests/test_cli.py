@@ -6,9 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(args, cwd, env_extra=None):
+    # the child runs in cwd, so the package path must be absolute
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

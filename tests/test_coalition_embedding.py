@@ -1,0 +1,182 @@
+"""The factor-once coalition embedding and its two consumers.
+
+The reference functions below are the per-input, per-coalition loops the
+embedding replaced, kept verbatim in arithmetic order: every coalition
+gram is refactored for every input, the prior gram is filled block by
+block, and the GP-SHAP factor contracts B with L before A.
+"""
+
+import numpy as np
+import pytest
+
+from ssvkit import cme, coalition, explain, kernels, numerics, shapley_prior
+from ssvkit.shapley_prior import ExplanationDataset
+
+from conftest import fit_synthetic_posterior
+
+
+def reference_map(anchors, kernel, design, lam, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n_anchor = anchors.shape[0]
+    B = np.empty((design.n_coalitions, n_anchor))
+    eye = lam * np.eye(n_anchor)
+    for j, subset in enumerate(design.coalitions):
+        K_s = kernels.gram(kernel, subset, anchors, anchors)
+        k_sx = kernels.gram(kernel, subset, anchors, x)
+        B[j] = numerics.cholesky_psd(K_s + eye).solve(k_sx)[:, 0]
+    return design.A @ B
+
+
+def reference_fit_predict(X, Phi, anchors, kernel, design, lam, noise, X_new):
+    n, d = X.shape
+    K = kernels.gram(kernel, kernels.FeatureSubset.full(d), anchors, anchors)
+    maps = [reference_map(anchors, kernel, design, lam, X[a]) for a in range(n)]
+    big = np.empty((n * d, n * d))
+    for a in range(n):
+        rowa = maps[a] @ K
+        for b in range(a, n):
+            block = rowa @ maps[b].T
+            big[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
+            if b != a:
+                big[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
+    factor = numerics.cholesky_psd(numerics.symmetrize(big) + noise * np.eye(n * d))
+    alpha = factor.solve(Phi.reshape(-1))
+    means, covs = [], []
+    for x in X_new:
+        Mx = reference_map(anchors, kernel, design, lam, x)
+        left = Mx @ K
+        cross = np.hstack([left @ maps[a].T for a in range(n)])
+        means.append(cross @ alpha)
+        covs.append(numerics.symmetrize(Mx @ K @ Mx.T - cross @ factor.solve(cross.T)))
+    return np.array(means), np.array(covs)
+
+
+def prior_problem(rng, n=12, d=3, n_anchor=8, n_new=7, sampled=None):
+    X = rng.normal(size=(n, d))
+    Phi = rng.normal(size=(n, d))
+    design = (coalition.enumerate_coalitions(d) if sampled is None
+              else coalition.sample_coalitions(d, sampled, seed=3))
+    kernel = kernels.KernelParams(variance=1.0, lengthscales=kernels.median_heuristic(X))
+    anchors = X[:n_anchor]
+    lam = cme.default_lambda(n_anchor)
+    return X, Phi, anchors, kernel, design, lam, 1e-2, rng.normal(size=(n_new, d))
+
+
+@pytest.fixture
+def count_cholesky(monkeypatch):
+    calls = []
+    original = numerics.cholesky_psd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "cholesky_psd", counted)
+    return calls
+
+
+class TestCoalitionEmbedding:
+    def test_weights_match_per_coalition_solves(self, rng):
+        X, _, anchors, kernel, design, lam, _, X_new = prior_problem(rng)
+        emb = cme.coalition_embedding(kernel, anchors, design, lam)
+        B = emb.weights(X_new)
+        assert B.shape == (design.n_coalitions, anchors.shape[0], X_new.shape[0])
+        for j, subset in enumerate(design.coalitions):
+            K_s = kernels.gram(kernel, subset, anchors, anchors)
+            k_sx = kernels.gram(kernel, subset, anchors, X_new)
+            direct = numerics.cholesky_psd(K_s + lam * np.eye(len(anchors))).solve(k_sx)
+            np.testing.assert_array_equal(B[j], direct)
+
+    def test_projected_is_the_per_input_map(self, rng):
+        X, _, anchors, kernel, design, lam, _, X_new = prior_problem(rng)
+        M = cme.coalition_embedding(kernel, anchors, design, lam).projected(X_new)
+        assert M.shape == (X_new.shape[0], design.d, anchors.shape[0])
+        for k, x in enumerate(X_new):
+            np.testing.assert_allclose(
+                M[k], reference_map(anchors, kernel, design, lam, x), atol=1e-12)
+            np.testing.assert_allclose(
+                M[k], shapley_prior._embedding_map(anchors, kernel, design, lam, x),
+                atol=1e-12)
+
+    def test_embedding_batch_equals_retained_factors(self, rng):
+        # explain's one-pass weights and the prior's kept factors agree exactly
+        post, data = fit_synthetic_posterior(rng, n=30, d=3, n_inducing=15)
+        design = coalition.enumerate_coalitions(3)
+        lam = cme.default_lambda(post.n_inducing)
+        batch = cme.embedding_batch(post, design, data.X[:4], lam)
+        emb = cme.coalition_embedding(post.kernel, post.inducing_points, design, lam)
+        np.testing.assert_array_equal(batch.tensor(), emb.weights(data.X[:4]))
+
+    def test_lambda_must_be_positive(self, rng):
+        _, _, anchors, kernel, design, _, _, _ = prior_problem(rng)
+        with pytest.raises(ValueError):
+            cme.coalition_embedding(kernel, anchors, design, 0.0)
+
+
+class TestBatchedPrior:
+    @pytest.mark.parametrize("sampled", [None, 5])
+    def test_predict_batch_matches_predict_and_reference(self, rng, sampled):
+        X, Phi, anchors, kernel, design, lam, noise, X_new = prior_problem(
+            rng, sampled=sampled)
+        model = shapley_prior.fit(ExplanationDataset(X=X, Phi=Phi), anchors, kernel,
+                                  design, lam, noise)
+        means, covs = shapley_prior.predict_batch(model, X_new)
+        assert means.shape == (len(X_new), design.d)
+        assert covs.shape == (len(X_new), design.d, design.d)
+        ref_means, ref_covs = reference_fit_predict(X, Phi, anchors, kernel, design,
+                                                    lam, noise, X_new)
+        for k, x in enumerate(X_new):
+            mean, cov = shapley_prior.predict(model, x)
+            np.testing.assert_allclose(means[k], mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(covs[k], cov, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mean, ref_means[k], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(cov, ref_covs[k], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(means, ref_means, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(covs, ref_covs, rtol=0, atol=1e-10)
+
+    def test_blocked_prediction_matches_one_block(self, rng, monkeypatch):
+        X, Phi, anchors, kernel, design, lam, noise, X_new = prior_problem(rng)
+        model = shapley_prior.fit(ExplanationDataset(X=X, Phi=Phi), anchors, kernel,
+                                  design, lam, noise)
+        whole = shapley_prior.predict_batch(model, X_new)
+        # one entry per block forces one input per block
+        monkeypatch.setattr(shapley_prior, "PREDICT_BLOCK_ENTRIES", 1)
+        blocked = shapley_prior.predict_batch(model, X_new)
+        for a, b in zip(whole, blocked):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_training_maps_are_stacked_instance_major(self, rng):
+        X, Phi, anchors, kernel, design, lam, noise, _ = prior_problem(rng)
+        model = shapley_prior.fit(ExplanationDataset(X=X, Phi=Phi), anchors, kernel,
+                                  design, lam, noise)
+        d = design.d
+        assert model.F.shape == (X.shape[0] * d, anchors.shape[0])
+        for a in range(X.shape[0]):
+            np.testing.assert_allclose(
+                model.F[a * d:(a + 1) * d],
+                reference_map(anchors, kernel, design, lam, X[a]), atol=1e-12)
+
+    def test_fit_factors_once_and_predict_never(self, rng, count_cholesky):
+        X, Phi, anchors, kernel, design, lam, noise, X_new = prior_problem(rng, d=3)
+        count_cholesky.clear()  # building the design factors its own system
+        model = shapley_prior.fit(ExplanationDataset(X=X, Phi=Phi), anchors, kernel,
+                                  design, lam, noise)
+        assert len(count_cholesky) == 2 ** 3 + 1
+        count_cholesky.clear()
+        shapley_prior.predict_batch(model, X_new)
+        shapley_prior.induced_payoff(model, X_new[0])
+        assert count_cholesky == []
+
+
+class TestGpshapContraction:
+    def test_cov_factor_matches_seed_einsum_order(self, rng):
+        post, data = fit_synthetic_posterior(rng, n=40, d=4, n_inducing=20)
+        design = coalition.enumerate_coalitions(4)
+        X = data.X[:6]
+        batch = explain.gpshap(post, design, X)
+        B = cme.embedding_batch(post, design, X).tensor()
+        L = numerics.cholesky_psd(post.cov_at_inducing, max_jitter=1e-8).lower
+        Q = np.einsum("jik,il->jkl", B, L)
+        R = np.einsum("ij,jkl->ikl", design.A, Q)
+        assert batch.cov_factor.shape == R.shape
+        np.testing.assert_allclose(batch.cov_factor, R, rtol=0, atol=1e-12)

@@ -27,6 +27,22 @@ class TestCholeskyPsd:
         with pytest.raises(JitterExceeded):
             numerics.cholesky_psd(m, max_jitter=1e-6)
 
+    def test_non_numerical_failure_is_not_retried(self, monkeypatch):
+        # only LinAlgError climbs the jitter ladder; anything else surfaces
+        # on the first attempt
+        import scipy.linalg
+
+        calls = []
+
+        def out_of_memory(*args, **kwargs):
+            calls.append(args)
+            raise MemoryError
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", out_of_memory)
+        with pytest.raises(MemoryError):
+            numerics.cholesky_psd(np.eye(3))
+        assert len(calls) == 1
+
     def test_deterministic(self, rng):
         m = rng.normal(size=(5, 5))
         m = m @ m.T
