@@ -20,7 +20,6 @@ from .coalition import (
 from .explain import (
     BayesConfig,
     ExplanationBatch,
-    StochasticExplanation,
     bayesgpshap,
     bayesshap_deterministic,
     credible_intervals,
@@ -38,7 +37,7 @@ __all__ = [
     "CoalitionDesign", "StochasticGame", "build_projection",
     "enumerate_coalitions", "exact_ssv", "sample_coalitions",
     "shapley_kernel_weight", "shapley_of_variance_game",
-    "BayesConfig", "ExplanationBatch", "StochasticExplanation",
+    "BayesConfig", "ExplanationBatch",
     "bayesgpshap", "bayesshap_deterministic", "credible_intervals", "gpshap",
     "Dataset", "GPPosterior", "fit_exact", "select_hyperparameters",
     "select_inducing",

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from . import analysis, cme, coalition, explain, gp, kernels, shapley_prior
-from .errors import SsvkitError
+from .errors import CountOutOfRange, SsvkitError
 
 
 def _fail(code: int, message: str):
@@ -74,6 +74,28 @@ def _write(path: str | None, text: str):
 
 def _floats(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok.strip()]
+
+
+def _credible_level(ctx, param, value):
+    """Click callback: a credible level must lie strictly inside (0, 1)."""
+    if value is not None and not 0.0 < value < 1.0:
+        _fail(2, f"--credible must lie in (0, 1), got {value!r}")
+    return value
+
+
+def _design(d: int, coalitions: str, seed: int) -> coalition.CoalitionDesign:
+    """The design a --coalitions value names: 'full' or a sampled count."""
+    if coalitions == "full":
+        if d > coalition.ENUMERATION_CAP:
+            _fail(2, f"full enumeration is capped at d <= {coalition.ENUMERATION_CAP}; "
+                     "use --coalitions N")
+        return coalition.enumerate_coalitions(d)
+    try:
+        return coalition.sample_coalitions(d, int(coalitions), seed)
+    except ValueError:
+        _fail(2, f"--coalitions must be 'full' or an integer, got {coalitions!r}")
+    except CountOutOfRange as exc:
+        _fail(2, f"--coalitions {coalitions}: {exc}")
 
 
 @click.group()
@@ -148,7 +170,7 @@ def _load_posterior(path: str) -> gp.GPPosterior:
               help="CME regularizer (default 1e-3 * n_inducing).")
 @click.option("--ell0", type=float, default=0.1, show_default=True)
 @click.option("--sigma0-sq", type=float, default=0.1, show_default=True)
-@click.option("--credible", type=float, default=None,
+@click.option("--credible", type=float, default=None, callback=_credible_level,
               help="Append credible-interval columns at this level.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -161,17 +183,7 @@ def cmd_explain(posterior_path, instances_path, algo, coalitions, lam, ell0,
     names, X, _ = _read_csv_matrix(instances_path)
     if X.shape[1] != posterior.d:
         _fail(2, f"instances have {X.shape[1]} features, posterior expects {posterior.d}")
-    d = posterior.d
-    if coalitions == "full":
-        if d > coalition.ENUMERATION_CAP:
-            _fail(2, f"full enumeration is capped at d <= {coalition.ENUMERATION_CAP}; "
-                     "use --coalitions N")
-        design = coalition.enumerate_coalitions(d)
-    else:
-        try:
-            design = coalition.sample_coalitions(d, int(coalitions), seed)
-        except ValueError:
-            _fail(2, f"--coalitions must be 'full' or an integer, got {coalitions!r}")
+    design = _design(posterior.d, coalitions, seed)
     config = explain.BayesConfig(ell0=ell0, sigma0_sq=sigma0_sq, seed=seed)
     try:
         if algo == "gpshap":
@@ -236,7 +248,7 @@ def _load_explanations(path: str) -> tuple[np.ndarray, np.ndarray]:
 @click.option("--coalitions", default="full", show_default=True)
 @click.option("--lam", type=float, default=None)
 @click.option("--noise", type=float, default=1e-2, show_default=True)
-@click.option("--credible", type=float, default=None)
+@click.option("--credible", type=float, default=None, callback=_credible_level)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", "-o", default="predicted_explanations.json", show_default=True)
 def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noise,
@@ -247,13 +259,9 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
     if X_new.shape[1] != X.shape[1]:
         _fail(2, f"new instances have {X_new.shape[1]} features, "
                  f"explanations have {X.shape[1]}")
-    d = X.shape[1]
+    design = _design(X.shape[1], coalitions, seed)
     try:
         data = shapley_prior.ExplanationDataset(X=X, Phi=Phi)
-        if coalitions == "full":
-            design = coalition.enumerate_coalitions(d)
-        else:
-            design = coalition.sample_coalitions(d, int(coalitions), seed)
         anchor_pts = shapley_prior.farthest_point_anchors(X, anchors)
         params = kernels.KernelParams(
             variance=1.0, lengthscales=kernels.median_heuristic(X)
@@ -294,6 +302,9 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
         X = np.asarray(doc["X"], float) if "X" in doc else None
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         _fail(2, f"cannot load explanations with covariance from {expl_path}: {exc}")
+    if not 0 <= instance < len(covs):
+        _fail(2, f"--instance {instance} is out of range: {expl_path} holds "
+                 f"{len(covs)} instances")
     d = means.shape[1]
     names = names or [f"x_{i + 1}" for i in range(d)]
     sds = np.array([np.sqrt(np.maximum(np.diag(c), 0.0)) for c in covs])

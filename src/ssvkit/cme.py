@@ -5,15 +5,28 @@ b(x, S) = (K_S + lambda*I)^-1 k_S(rows, x) turns values at a fixed set of
 rows (the posterior's inducing rows for ``explain``, the anchors for the
 Shapley prior) into the estimated conditional expectation given the
 features in S.  Every coalition's K_S + lambda*I is factored exactly
-once.  ``CoalitionEmbedding`` keeps the factors, for callers that map
-batches again and again (the Shapley prior): it maps whole batches to B(X)
-and to the projected maps A.B(X) without factoring again.
-``embedding_batch`` maps one batch and drops each factor after its solve.
+once.
+
+The weights B(X) (ell x m x n) come from one generator, in blocks of
+coalitions of at most ``CHUNK_ENTRIES`` entries.  Two kinds of consumer
+read it:
+
+* streamed: ``projected_batch`` (GP-SHAP) and
+  ``CoalitionEmbedding.projected`` (the Shapley prior) add each block into
+  the projected maps A.B(X) (n x d x m), and ``projected_batch`` also into
+  the payoff means, then drop it, so B(X) is never held whole;
+* whole: ``embedding_batch`` and ``CoalitionEmbedding.weights`` fill the
+  full tensor, for ``game_moments`` and the oracles that need every
+  coalition's payoff.
+
+``CoalitionEmbedding`` keeps the factors, for callers that map batches
+again and again (the Shapley prior).  ``projected_batch`` and
+``embedding_batch`` map one batch and drop each factor after its solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,34 +44,78 @@ def default_lambda(n_inducing: int) -> float:
     return 1e-3 * n_inducing
 
 
+# Entries of B(X) one streamed block holds at most (8 MB of float64).  A
+# block always holds at least one coalition, even when m*n is larger.
+CHUNK_ENTRIES = 1 << 20
+
+
 def _coalition_factor(kernel: KernelParams, subset: FeatureSubset, rows: np.ndarray,
                       lam: float) -> CholeskyFactor:
     """Cholesky factor of K_S + lambda*I over the embedding rows."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     K_s = kernels.gram(kernel, subset, rows, rows)
-    return numerics.cholesky_psd(K_s + lam * np.eye(rows.shape[0]))
+    K_s[np.diag_indices_from(K_s)] += lam   # the gram is fresh: regularize in place
+    return numerics.cholesky_psd(K_s)
+
+
+def _weight_chunks(kernel: KernelParams, rows: np.ndarray,
+                   coalitions: tuple[FeatureSubset, ...],
+                   factors: Iterable[CholeskyFactor],
+                   X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, B(X)[lo:lo + c])`` for successive blocks of c coalitions.
+
+    The only place that solves against the coalition factors; each block
+    holds at most ``CHUNK_ENTRIES`` entries (or one coalition).  Every
+    block is a view of one reused buffer, so a consumer must be done with a
+    block before it asks for the next.  ``factors`` may be a one-pass
+    iterator, so a caller that maps a single batch can drop each factor as
+    soon as it has been used.
+    """
+    m, n = rows.shape[0], X.shape[0]
+    step = max(1, CHUNK_ENTRIES // max(m * n, 1))
+    buffer = np.empty((min(step, len(coalitions)), m, n))
+    factors = iter(factors)
+    for lo in range(0, len(coalitions), step):
+        chunk = coalitions[lo:lo + step]
+        block = buffer[:len(chunk)]
+        for j, (subset, factor) in enumerate(zip(chunk, factors)):
+            block[j] = factor.solve(kernels.gram(kernel, subset, rows, X))
+        yield lo, block
 
 
 def _solve_all(kernel: KernelParams, rows: np.ndarray,
                coalitions: tuple[FeatureSubset, ...], factors: Iterable[CholeskyFactor],
                X: np.ndarray) -> np.ndarray:
-    """B(X), shape (n_coalitions, m, n), from one factor per coalition.
-
-    ``factors`` may be a one-pass iterator, so a caller that maps a single
-    batch can drop each factor as soon as it has been used.
-    """
+    """B(X), shape (n_coalitions, m, n), from one factor per coalition."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.empty((len(coalitions), rows.shape[0], X.shape[0]))
-    for j, (subset, factor) in enumerate(zip(coalitions, factors)):
-        out[j] = factor.solve(kernels.gram(kernel, subset, rows, X))
+    for lo, block in _weight_chunks(kernel, rows, coalitions, factors, X):
+        out[lo:lo + len(block)] = block
     return out
 
 
-def project(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Contract A (d x ell) into B (ell x m x n), giving shape (n, d, m)."""
-    ell, m, n = B.shape
-    return (A @ B.reshape(ell, m * n)).reshape(A.shape[0], m, n).transpose(2, 0, 1)
+def _project_all(A: np.ndarray, kernel: KernelParams, rows: np.ndarray,
+                 coalitions: tuple[FeatureSubset, ...], factors: Iterable[CholeskyFactor],
+                 X: np.ndarray,
+                 mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """A.B(X), shape (n, d, m), summed block by block; B(X) is never whole.
+
+    With ``mean`` (length m) the payoff means B(X)^T mean, shape
+    (n_coalitions, n), come back too; otherwise None does.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d, m, n = A.shape[0], rows.shape[0], X.shape[0]
+    P = np.zeros((d, m * n))
+    E = None if mean is None else np.empty((len(coalitions), n))
+    for lo, block in _weight_chunks(kernel, rows, coalitions, factors, X):
+        hi = lo + len(block)
+        P += A[:, lo:hi] @ block.reshape(hi - lo, m * n)
+        if E is not None:
+            # einsum sums over i in the same order for any block size, so the
+            # payoff means do not depend on CHUNK_ENTRIES
+            E[lo:hi] = np.einsum("jik,i->jk", block, mean)
+    return P.reshape(d, m, n).transpose(2, 0, 1), E
 
 
 @dataclass(frozen=True)
@@ -81,7 +138,8 @@ class CoalitionEmbedding:
 
     def projected(self, X: np.ndarray) -> np.ndarray:
         """A.B(X): projected embedding maps, shape (n, d, m)."""
-        return project(self.design.A, self.weights(X))
+        return _project_all(self.design.A, self.kernel, self.rows,
+                            self.design.coalitions, self.factors, X)[0]
 
 
 def coalition_embedding(kernel: KernelParams, rows: np.ndarray, design: CoalitionDesign,
@@ -132,16 +190,19 @@ class EmbeddingBatch:
 def embedding_weights(posterior: GPPosterior, subset: FeatureSubset,
                       X_explain: np.ndarray, lam: float) -> EmbeddingWeights:
     """CME weight columns for one coalition at a batch of instances."""
-    X_explain = np.atleast_2d(np.asarray(X_explain, dtype=float))
     Xi = posterior.inducing_points
     factor = _coalition_factor(posterior.kernel, subset, Xi, lam)
-    k_sx = kernels.gram(posterior.kernel, subset, Xi, X_explain)
-    return EmbeddingWeights(coalition=subset, lam=lam, weights=factor.solve(k_sx))
+    weights = _solve_all(posterior.kernel, Xi, (subset,), (factor,), X_explain)[0]
+    return EmbeddingWeights(coalition=subset, lam=lam, weights=weights)
 
 
-def embedding_batch(posterior: GPPosterior, design: CoalitionDesign,
-                    X_explain: np.ndarray, lam: float | None = None) -> EmbeddingBatch:
-    """Embedding weights for every coalition in a design."""
+def _one_batch(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarray,
+               lam: float | None) -> tuple[np.ndarray, float, Iterator[CholeskyFactor]]:
+    """Checked instances, lambda and a one-pass iterator of coalition factors.
+
+    One batch only: each factor is dropped right after its solve instead of
+    being kept in a CoalitionEmbedding (ell*m^2 floats, 328 MB at d=10, m=200).
+    """
     X_explain = np.atleast_2d(np.asarray(X_explain, dtype=float))
     if X_explain.shape[1] != design.d:
         raise DesignMismatch(
@@ -151,13 +212,31 @@ def embedding_batch(posterior: GPPosterior, design: CoalitionDesign,
         raise DesignMismatch("posterior and design disagree on feature count")
     if lam is None:
         lam = default_lambda(posterior.n_inducing)
-    # One batch only: each factor is dropped right after its solve instead of
-    # being kept in a CoalitionEmbedding (ell*m^2 floats, 328 MB at d=10, m=200).
-    kernel, Xi = posterior.kernel, posterior.inducing_points
-    factors = (_coalition_factor(kernel, c, Xi, lam) for c in design.coalitions)
-    return EmbeddingBatch(design=design, X_explain=X_explain, lam=lam,
-                          weights=_solve_all(kernel, Xi, design.coalitions, factors,
-                                             X_explain))
+    factors = (_coalition_factor(posterior.kernel, c, posterior.inducing_points, lam)
+               for c in design.coalitions)
+    return X_explain, lam, factors
+
+
+def embedding_batch(posterior: GPPosterior, design: CoalitionDesign,
+                    X_explain: np.ndarray, lam: float | None = None) -> EmbeddingBatch:
+    """Embedding weights for every coalition in a design, as one tensor."""
+    X_explain, lam, factors = _one_batch(posterior, design, X_explain, lam)
+    weights = _solve_all(posterior.kernel, posterior.inducing_points, design.coalitions,
+                         factors, X_explain)
+    return EmbeddingBatch(design=design, X_explain=X_explain, lam=lam, weights=weights)
+
+
+def projected_batch(posterior: GPPosterior, design: CoalitionDesign,
+                    X_explain: np.ndarray,
+                    lam: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A.B(X) (n x d x n_inducing) and payoff means (n_coalitions x n).
+
+    The payoff means are B(X)^T m with m the posterior mean at the inducing
+    rows.  B(X) is streamed in blocks and never held whole.
+    """
+    X_explain, _, factors = _one_batch(posterior, design, X_explain, lam)
+    return _project_all(design.A, posterior.kernel, posterior.inducing_points,
+                        design.coalitions, factors, X_explain, posterior.mean_at_inducing)
 
 
 def game_moments(posterior: GPPosterior, batch: EmbeddingBatch) -> list[StochasticGame]:

@@ -4,7 +4,10 @@ Three variants share the same mean explanations and differ in the
 covariance they attach:
 
 * ``gpshap`` propagates the GP posterior covariance through the
-  conditional-mean-embedding weights and the projection matrix A.
+  conditional-mean-embedding weights and the projection matrix A.  The
+  weights are streamed through A in bounded blocks of coalitions
+  (``cme.projected_batch``); the ell x n_inducing x n weight tensor is
+  never built.
 * ``bayesshap_deterministic`` captures only the coalition-sampling
   estimation uncertainty of the weighted least squares fit.
 * ``bayesgpshap`` adds both terms; conditionally on the sampled noise
@@ -37,15 +40,6 @@ class BayesConfig:
     ell0: float = 0.1
     sigma0_sq: float = 0.1
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class StochasticExplanation:
-    """Gaussian attribution law for one instance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    instance_index: int
 
 
 @dataclass(frozen=True)
@@ -85,11 +79,6 @@ class ExplanationBatch:
     def cross_covariance(self, a: int, b: int) -> np.ndarray:
         """d x d covariance block between instances a and b (GP term only)."""
         return self.cov_factor[:, a, :] @ self.cov_factor[:, b, :].T
-
-    def explanation(self, k: int) -> StochasticExplanation:
-        return StochasticExplanation(
-            mean=self.means[k], cov=self.covariance(k), instance_index=k
-        )
 
     def stds(self) -> np.ndarray:
         """Per-instance, per-feature standard deviations, shape n x d."""
@@ -131,13 +120,12 @@ def gpshap(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarra
     """Analytic Gaussian explanations under the GP posterior.
 
     Means are A applied to the estimated payoff means; the covariance
-    factor contracts A into the embedding weights first (d x n_I per
-    instance) and only then with the Cholesky factor of the posterior
-    covariance, so no coalition-sized tensor beyond the weights is built.
+    factor is the projected embedding A.B(x) (d x n_I per instance) times
+    the Cholesky factor of the posterior covariance.  Both come from
+    ``cme.projected_batch``, which streams the embedding weights, so no
+    coalition-sized tensor is ever built.
     """
-    batch = cme.embedding_batch(posterior, design, X_explain, lam)
-    B = batch.tensor()                                     # ell x n_I x n
-    E = np.einsum("jik,i->jk", B, posterior.mean_at_inducing)
+    P, E = cme.projected_batch(posterior, design, X_explain, lam)  # n x d x n_I, ell x n
     means = (design.A @ E).T
     if np.count_nonzero(posterior.cov_at_inducing) == 0:
         # degenerate posterior: keep the factor exactly zero instead of
@@ -145,7 +133,7 @@ def gpshap(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarra
         L = np.zeros_like(posterior.cov_at_inducing)
     else:
         L = numerics.cholesky_psd(posterior.cov_at_inducing, max_jitter=1e-8).lower
-    R = (cme.project(design.A, B) @ L).transpose(1, 0, 2)  # d x n x n_I
+    R = (P @ L).transpose(1, 0, 2)                         # d x n x n_I
     return ExplanationBatch(
         means=means, cov_factor=R, design=design, payoff_means=E,
         feature_names=feature_names,

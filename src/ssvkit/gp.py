@@ -147,10 +147,10 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
     K_ix = kernels.gram(kernel, full, Xi, data.X)
     K_ii = kernels.gram(kernel, full, Xi, Xi)
 
-    solve = numerics.solve_regularized
-    alpha = solve(K, noise, data.y)
-    mean = K_ix @ alpha
-    cov = K_ii - K_ix @ solve(K, noise, K_ix.T)
+    K[np.diag_indices_from(K)] += noise     # K is fresh: regularize in place
+    factor = numerics.cholesky_psd(K)
+    mean = K_ix @ factor.solve(data.y)
+    cov = K_ii - K_ix @ factor.solve(K_ix.T)
     cov = numerics.symmetrize(cov)
     return GPPosterior(
         inducing_points=Xi,
@@ -165,7 +165,8 @@ def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float) -
     """Exact GP log marginal likelihood of the training targets."""
     full = FeatureSubset.full(data.d)
     K = kernels.gram(kernel, full, data.X, data.X)
-    factor = numerics.cholesky_psd(K + noise * np.eye(data.n))
+    K[np.diag_indices_from(K)] += noise
+    factor = numerics.cholesky_psd(K)
     alpha = factor.solve(data.y)
     return float(
         -0.5 * data.y @ alpha - 0.5 * factor.logdet() - 0.5 * data.n * np.log(2.0 * np.pi)

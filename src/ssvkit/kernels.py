@@ -72,9 +72,6 @@ class FeatureSubset:
     def size(self) -> int:
         return int(self.mask).bit_count()
 
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
     def binary_vector(self) -> np.ndarray:
         return np.array([(self.mask >> i) & 1 for i in range(self.d)], dtype=float)
 
@@ -101,13 +98,16 @@ def gram(params: KernelParams, subset: FeatureSubset, A: np.ndarray,
         return np.ones((A.shape[0], B.shape[0]))
     As = A[:, idx] / params.lengthscales[idx]
     Bs = B[:, idx] / params.lengthscales[idx]
-    sq = (
-        np.sum(As**2, axis=1)[:, None]
-        - 2.0 * As @ Bs.T
-        + np.sum(Bs**2, axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return params.variance * np.exp(-0.5 * sq)
+    # |a|^2 - 2 a.b + |b|^2, clipped at 0, then variance * exp(-sq / 2):
+    # every step works in the one output buffer
+    out = (2.0 * As) @ Bs.T
+    np.subtract(np.sum(As**2, axis=1)[:, None], out, out=out)
+    out += np.sum(Bs**2, axis=1)[None, :]
+    np.maximum(out, 0.0, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= params.variance
+    return out
 
 
 def median_heuristic(X: np.ndarray) -> np.ndarray:

@@ -44,7 +44,8 @@ def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER) -> Chole
     """Cholesky-factor a symmetric PSD matrix, escalating diagonal jitter.
 
     Jitter starts at 1e-12 and grows by a factor of 10 until the
-    factorization succeeds; the first attempt uses no jitter at all.
+    factorization succeeds; the first attempt factors ``m`` as given.
+    ``m`` is never modified.
 
     Raises
     ------
@@ -58,10 +59,11 @@ def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER) -> Chole
         raise ValueError("matrix contains non-finite entries")
 
     jitter = 0.0
-    eye = np.eye(m.shape[0])
     while True:
+        jittered = m if jitter == 0.0 else m + jitter * np.eye(m.shape[0])
         try:
-            lower = linalg.cholesky(m + jitter * eye, lower=True)
+            # finiteness was checked above
+            lower = linalg.cholesky(jittered, lower=True, check_finite=False)
             return CholeskyFactor(lower=lower, jitter_used=jitter)
         except np.linalg.LinAlgError:
             pass

@@ -28,8 +28,9 @@ from .numerics import CholeskyFactor
 
 MAX_SYSTEM_SIZE = 4000
 # predict_batch works through the new inputs in blocks whose largest array
-# (cross-kernel or embedding weights) has at most this many entries, so
-# memory stays bounded however many inputs one call receives.
+# (cross-kernel rows or projected maps; the embedding weights are streamed
+# in blocks of their own) has at most this many entries, so memory stays
+# bounded however many inputs one call receives.
 PREDICT_BLOCK_ENTRIES = 1 << 22
 
 
@@ -152,8 +153,7 @@ def predict_batch(model: ShapleyPriorModel,
                   X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive means (n x d) and covariances (n x d x d) at new inputs."""
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    per_input = max(model.d * model.F.shape[0],
-                    model.design.n_coalitions * model.F.shape[1])
+    per_input = model.d * max(model.F.shape)
     step = max(1, PREDICT_BLOCK_ENTRIES // per_input)
     means, covs = zip(*(_predict_block(model, X_new[lo:lo + step])
                         for lo in range(0, max(X_new.shape[0], 1), step)))

@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
-from ssvkit import gp, kernels
+from ssvkit import gp, kernels, numerics
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def count_cholesky(monkeypatch):
+    """Records the shape of every matrix passed to ``numerics.cholesky_psd``."""
+    calls = []
+    original = numerics.cholesky_psd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "cholesky_psd", counted)
+    return calls
 
 
 def make_regression(rng, n=50, d=4, noise=0.1):

@@ -164,6 +164,42 @@ class TestExplain:
         assert outputs[0] == outputs[1]
 
 
+def assert_one_line_input_error(res):
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("args", [
+        ["--coalitions", "1"],
+        ["--coalitions", "-3"],
+        ["--credible", "1.5"],
+    ])
+    def test_bad_explain_option_exits_2(self, workdir, args):
+        fitted(workdir)
+        res = run_cli(["explain", "--posterior", "posterior.json",
+                       "--instances", "instances.csv", *args], workdir)
+        assert_one_line_input_error(res)
+
+    def test_bad_predict_credible_exits_2(self, workdir):
+        (workdir / "wide.csv").write_text("x_1,phi_1\n0.0,0.0\n1.0,0.5\n")
+        (workdir / "new.csv").write_text("x_1\n0.5\n")
+        res = run_cli(["predict-explain", "--explanations", "wide.csv",
+                       "--instances", "new.csv", "--credible", "1.5"], workdir)
+        assert_one_line_input_error(res)
+
+    def test_instance_out_of_range_exits_2(self, workdir):
+        fitted(workdir)
+        run_cli(["explain", "--posterior", "posterior.json",
+                 "--instances", "instances.csv", "-o", "expl.json"], workdir)
+        res = run_cli(["analyze", "--explanations", "expl.json", "--instance", "5"],
+                      workdir)
+        assert_one_line_input_error(res)
+        assert "--instance 5" in res.stderr
+
+
 class TestPredictExplain:
     def test_roundtrip_from_explain_json(self, workdir):
         fitted(workdir)

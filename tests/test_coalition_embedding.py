@@ -3,8 +3,12 @@
 The reference functions below are the per-input, per-coalition loops the
 embedding replaced, kept verbatim in arithmetic order: every coalition
 gram is refactored for every input, the prior gram is filled block by
-block, and the GP-SHAP factor contracts B with L before A.
+block, and the GP-SHAP factor contracts B with L before A.  The streamed
+projection (B(X) in bounded blocks of coalitions) is checked against one
+block and against the memory of the whole weight tensor.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,19 +64,6 @@ def prior_problem(rng, n=12, d=3, n_anchor=8, n_new=7, sampled=None):
     anchors = X[:n_anchor]
     lam = cme.default_lambda(n_anchor)
     return X, Phi, anchors, kernel, design, lam, 1e-2, rng.normal(size=(n_new, d))
-
-
-@pytest.fixture
-def count_cholesky(monkeypatch):
-    calls = []
-    original = numerics.cholesky_psd
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(numerics, "cholesky_psd", counted)
-    return calls
 
 
 class TestCoalitionEmbedding:
@@ -180,3 +171,70 @@ class TestGpshapContraction:
         R = np.einsum("ij,jkl->ikl", design.A, Q)
         assert batch.cov_factor.shape == R.shape
         np.testing.assert_allclose(batch.cov_factor, R, rtol=0, atol=1e-12)
+
+
+def spy_chunks(monkeypatch):
+    """Record the coalition count of every block the weight generator yields."""
+    sizes = []
+    original = cme._weight_chunks
+
+    def recorded(*args):
+        for lo, block in original(*args):
+            sizes.append(len(block))
+            yield lo, block
+
+    monkeypatch.setattr(cme, "_weight_chunks", recorded)
+    return sizes
+
+
+class TestStreamedProjection:
+    def test_one_entry_chunks_match_one_chunk(self, rng, monkeypatch):
+        post, data = fit_synthetic_posterior(rng, n=40, d=4, n_inducing=20)
+        design = coalition.enumerate_coalitions(4)
+        X = data.X[:6]
+        _, _, anchors, kernel, prior_design, lam, _, X_new = prior_problem(rng)
+        emb = cme.coalition_embedding(kernel, anchors, prior_design, lam)
+        sizes = spy_chunks(monkeypatch)
+        whole = explain.gpshap(post, design, X)
+        whole_maps = emb.projected(X_new)
+        assert sizes == [design.n_coalitions, prior_design.n_coalitions]
+        # one entry per block forces one coalition per block
+        monkeypatch.setattr(cme, "CHUNK_ENTRIES", 1)
+        sizes.clear()
+        streamed = explain.gpshap(post, design, X)
+        maps = emb.projected(X_new)
+        assert sizes == [1] * (design.n_coalitions + prior_design.n_coalitions)
+        for name in ("means", "payoff_means", "cov_factor"):
+            np.testing.assert_allclose(getattr(streamed, name), getattr(whole, name),
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(maps, whole_maps, rtol=0, atol=1e-12)
+
+    def test_streamed_payoff_means_match_the_weight_tensor(self, rng, monkeypatch):
+        post, data = fit_synthetic_posterior(rng, n=40, d=4, n_inducing=20)
+        design = coalition.enumerate_coalitions(4)
+        X = data.X[:6]
+        monkeypatch.setattr(cme, "CHUNK_ENTRIES", 3 * 20 * 6)  # 3 coalitions a block
+        maps, E = cme.projected_batch(post, design, X)
+        B = cme.embedding_batch(post, design, X).tensor()
+        np.testing.assert_array_equal(E, np.einsum("jik,i->jk", B, post.mean_at_inducing))
+        np.testing.assert_allclose(
+            maps, np.einsum("ij,jlk->kil", design.A, B), rtol=0, atol=1e-12)
+
+    def test_gpshap_peak_stays_below_the_weight_tensor(self, rng):
+        d, m, n = 8, 60, 200
+        post, _ = fit_synthetic_posterior(rng, n=80, d=d, n_inducing=m)
+        design = coalition.enumerate_coalitions(d)
+        X = rng.normal(size=(n, d))
+        tensor_bytes = design.n_coalitions * m * n * 8
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the whole tensor is visible to tracemalloc, so the bound below bites
+        assert traced_peak(lambda: cme.embedding_batch(post, design, X)) >= tensor_bytes
+        assert traced_peak(lambda: explain.gpshap(post, design, X)) < tensor_bytes

@@ -102,6 +102,23 @@ class TestFitExact:
         with pytest.raises(ValueError):
             gp.fit_exact(small_data, params, noise=0.0)
 
+    def test_factors_once_and_matches_two_regularized_solves(self, small_data,
+                                                             count_cholesky):
+        params = kernels.KernelParams(variance=1.5, lengthscales=np.ones(3) * 0.8)
+        idx = np.array([1, 5, 7, 20])
+        post = gp.fit_exact(small_data, params, noise=0.1, inducing=idx)
+        assert count_cholesky == [(30, 30)]
+        # the seed's two solve_regularized calls, each refactoring K + noise*I
+        full = kernels.FeatureSubset.full(3)
+        K = kernels.gram(params, full, small_data.X, small_data.X)
+        K_ix = kernels.gram(params, full, small_data.X[idx], small_data.X)
+        K_ii = kernels.gram(params, full, small_data.X[idx], small_data.X[idx])
+        mean = K_ix @ numerics.solve_regularized(K, 0.1, small_data.y)
+        cov = numerics.symmetrize(
+            K_ii - K_ix @ numerics.solve_regularized(K, 0.1, K_ix.T))
+        np.testing.assert_array_equal(post.mean_at_inducing, mean)
+        np.testing.assert_array_equal(post.cov_at_inducing, cov)
+
     def test_json_roundtrip(self, small_data):
         params = kernels.KernelParams(variance=2.0, lengthscales=np.ones(3) * 0.7)
         post = gp.fit_exact(small_data, params, noise=0.2)

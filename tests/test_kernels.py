@@ -31,6 +31,20 @@ class TestGram:
         K = gram(params, FeatureSubset.full(3), x, x)
         assert K[0, 0] == pytest.approx(2.0)
 
+    def test_matches_the_textbook_expression_bit_for_bit(self, params, rng):
+        # the in-place evaluation keeps the operation order of
+        # variance * exp(-0.5 * max(|a|^2 - 2 a.b + |b|^2, 0))
+        A = rng.normal(size=(7, 3))
+        B = rng.normal(size=(5, 3))
+        for subset in (FeatureSubset.full(3), FeatureSubset.from_indices([0, 2], 3)):
+            idx = subset.indices()
+            As = A[:, idx] / params.lengthscales[idx]
+            Bs = B[:, idx] / params.lengthscales[idx]
+            sq = (np.sum(As**2, axis=1)[:, None] - 2.0 * As @ Bs.T
+                  + np.sum(Bs**2, axis=1)[None, :])
+            expected = params.variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+            np.testing.assert_array_equal(gram(params, subset, A, B), expected)
+
     def test_empty_subset_is_all_ones(self, params, rng):
         A = rng.normal(size=(4, 3))
         B = rng.normal(size=(5, 3))

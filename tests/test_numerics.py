@@ -58,6 +58,30 @@ class TestCholeskyPsd:
         rel = np.linalg.norm(factor.lower @ factor.lower.T - m) / np.linalg.norm(m)
         assert rel < 1e-8
 
+    @pytest.mark.parametrize("needs_jitter", [False, True])
+    def test_input_is_left_unmodified(self, rng, needs_jitter):
+        m = np.zeros((4, 4)) if needs_jitter else rng.normal(size=(4, 4))
+        m = m @ m.T
+        before = m.copy()
+        factor = numerics.cholesky_psd(m, max_jitter=1e-6)
+        assert (factor.jitter_used > 0.0) == needs_jitter
+        np.testing.assert_array_equal(m, before)
+
+    def test_first_attempt_factors_the_input_as_given(self, monkeypatch):
+        import scipy.linalg
+
+        seen = []
+        original = scipy.linalg.cholesky
+
+        def spy(a, *args, **kwargs):
+            seen.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", spy)
+        m = 2.0 * np.eye(3)
+        numerics.cholesky_psd(m)
+        assert len(seen) == 1 and seen[0] is m
+
 
 class TestSolveRegularized:
     def test_zero_matrix_is_identity_solve(self):
