@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from . import numerics
 from .explain import ExplanationBatch
@@ -34,8 +34,27 @@ def folded_mean(mu: float, sigma: float) -> float:
         return abs(mu)
     return float(
         sigma * np.sqrt(2.0 / np.pi) * np.exp(-mu * mu / (2.0 * sigma * sigma))
-        + mu * (1.0 - 2.0 * stats.norm.cdf(-mu / sigma))
+        + mu * (1.0 - 2.0 * ndtr(-mu / sigma))
     )
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a vector's entries, ties sharing their average rank.
+
+    The same values as ``scipy.stats.rankdata(x)`` (method "average"),
+    NaN propagating to every rank; each rank is a whole or half integer,
+    so the result is exact.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])   # first index of each tie group
+    ends = np.r_[starts[1:], x.size]                          # one past its last index
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def global_importance(batch: ExplanationBatch) -> GlobalImportance:
@@ -109,7 +128,7 @@ def beeswarm_export(batch: ExplanationBatch, X_explain: np.ndarray) -> list[dict
     names = batch.feature_names or [f"x_{i + 1}" for i in range(d)]
     sds = batch.stds()
     ranks = np.stack(
-        [(stats.rankdata(X_explain[:, i]) - 0.5) / n for i in range(d)], axis=1
+        [(average_ranks(X_explain[:, i]) - 0.5) / n for i in range(d)], axis=1
     )
     spans = batch.means.max(axis=0) - batch.means.min(axis=0)
     order = np.argsort(-spans, kind="stable")

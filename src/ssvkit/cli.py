@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 
 import click
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from . import analysis, cme, coalition, explain, gp, kernels, shapley_prior
 from .errors import CountOutOfRange, SsvkitError
@@ -29,7 +30,8 @@ def _read_csv_matrix(path: str, target: str | None = None):
     """Read a numeric CSV with a header row.
 
     Returns (header, matrix, target_vector); target_vector is None when no
-    target column was requested.  Non-numeric cells are reported with their
+    target column was requested.  A row whose cell count differs from the
+    header's and a non-numeric or non-finite cell are reported with their
     row and column location.
     """
     try:
@@ -40,6 +42,8 @@ def _read_csv_matrix(path: str, target: str | None = None):
         _fail(2, f"cannot read {path}: {exc}")
     if not rows:
         _fail(2, f"{path} is empty")
+    if len(rows) < 2:
+        _fail(2, f"{path} has a header but no data rows")
     header = rows[0]
     t_idx = None
     if target is not None:
@@ -48,12 +52,19 @@ def _read_csv_matrix(path: str, target: str | None = None):
         t_idx = header.index(target)
     data, y = [], []
     for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            where = (f"column {header[len(row)]!r} is missing" if len(row) < len(header)
+                     else f"column {len(header) + 1} has no header")
+            _fail(2, f"row {r} has {len(row)} cells, the header has {len(header)} "
+                     f"({where}) in {path}")
         vals = []
         for c, cell in enumerate(row):
             try:
                 v = float(cell)
             except ValueError:
                 _fail(2, f"non-numeric value {cell!r} at row {r}, column {header[c]!r} in {path}")
+            if not math.isfinite(v):
+                _fail(2, f"non-finite value {cell!r} at row {r}, column {header[c]!r} in {path}")
             if c == t_idx:
                 y.append(v)
             else:
@@ -272,7 +283,7 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
         means, covs = shapley_prior.predict_batch(model, X_new)
         out = {"means": means.tolist(), "cov": covs.tolist()}
         if credible:
-            z = float(stats.norm.ppf(0.5 * (1 + credible)))
+            z = float(ndtri(0.5 * (1 + credible)))
             sds = np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
             out["credible_level"] = credible
             out["lo"], out["hi"] = (means - z * sds).tolist(), (means + z * sds).tolist()
@@ -334,7 +345,7 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
 
     if X is not None:
         ranks = np.stack(
-            [(stats.rankdata(X[:, i]) - 0.5) / X.shape[0] for i in range(d)],
+            [(analysis.average_ranks(X[:, i]) - 0.5) / X.shape[0] for i in range(d)],
             axis=1,
         )
         lines = ["instance,feature,mean,sd,feature_value,feature_value_quantile"]

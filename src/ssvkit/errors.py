@@ -9,10 +9,6 @@ class JitterExceeded(SsvkitError):
     """Cholesky factorization failed even at the maximum allowed jitter."""
 
 
-class NonFinite(SsvkitError):
-    """An iterative solver produced non-finite values."""
-
-
 class DimensionMismatch(SsvkitError):
     """Array shapes are incompatible with the requested operation."""
 

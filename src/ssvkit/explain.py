@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from . import cme, numerics
 from .coalition import CoalitionDesign
@@ -235,6 +235,6 @@ def credible_intervals(batch: ExplanationBatch,
     """Central Gaussian credible intervals mean +- z * sd, per entry."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    z = float(stats.norm.ppf(0.5 * (1.0 + level)))
+    z = float(ndtri(0.5 * (1.0 + level)))
     sds = batch.stds()
     return batch.means - z * sds, batch.means + z * sds

@@ -62,6 +62,27 @@ class GPPosterior:
     kernel: KernelParams
     noise: float
 
+    def __post_init__(self):
+        Z = np.asarray(self.inducing_points, dtype=float)
+        mean = np.asarray(self.mean_at_inducing, dtype=float)
+        cov = np.asarray(self.cov_at_inducing, dtype=float)
+        object.__setattr__(self, "inducing_points", Z)
+        object.__setattr__(self, "mean_at_inducing", mean)
+        object.__setattr__(self, "cov_at_inducing", cov)
+        if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != self.kernel.dim:
+            raise ValueError(f"inducing points must be an m x {self.kernel.dim} matrix "
+                             f"(the kernel's dimension), got shape {Z.shape}")
+        m = Z.shape[0]
+        if mean.shape != (m,):
+            raise ValueError(f"posterior mean must have length {m}, got shape {mean.shape}")
+        if cov.shape != (m, m):
+            raise ValueError(f"posterior covariance must be {m} x {m}, got shape {cov.shape}")
+        if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(mean))
+                and np.all(np.isfinite(cov))):
+            raise ValueError("posterior contains non-finite entries")
+        if np.max(np.abs(cov - cov.T)) > 1e-8 * np.max(np.abs(cov)):
+            raise ValueError("posterior covariance is not symmetric")
+
     @property
     def n_inducing(self) -> int:
         return self.inducing_points.shape[0]

@@ -114,16 +114,22 @@ def median_heuristic(X: np.ndarray) -> np.ndarray:
     """Per-dimension median of pairwise absolute differences.
 
     Dimensions whose median distance is zero (constant or near-constant
-    columns) fall back to a lengthscale of 1.0.
+    columns) fall back to a lengthscale of 1.0.  On a sorted column the
+    pairwise distances are the gaps ``xs[k:] - xs[:-k]``, k = 1..n-1; they
+    fill one buffer of n(n-1)/2 entries, reused across columns.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if n < 2:
         raise TooFewPoints("median heuristic needs at least two points")
-    iu = np.triu_indices(n, k=1)
+    diffs = np.empty(n * (n - 1) // 2)
     out = np.empty(d)
     for u in range(d):
-        diffs = np.abs(X[iu[0], u] - X[iu[1], u])
-        med = float(np.median(diffs))
+        xs = np.sort(X[:, u])
+        pos = 0
+        for k in range(1, n):
+            np.subtract(xs[k:], xs[:-k], out=diffs[pos:pos + n - k])
+            pos += n - k
+        med = float(np.median(diffs, overwrite_input=True))
         out[u] = med if med > 0.0 else 1.0
     return out

@@ -2,8 +2,7 @@
 
 All gram and covariance matrices in this package are symmetric and at
 least positive semi-definite up to floating point noise, so every solve
-routes through a jittered Cholesky factorization by default.  A plain
-conjugate gradient is available as an opt-in path for large systems.
+routes through a jittered Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .errors import JitterExceeded, NonFinite
+from .errors import JitterExceeded
 
 INITIAL_JITTER = 1e-12
 JITTER_GROWTH = 10.0
@@ -83,49 +82,6 @@ def solve_regularized(m: np.ndarray, lam: float, rhs: np.ndarray,
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {m.shape[0]}")
     factor = cholesky_psd(m + lam * np.eye(m.shape[0]), max_jitter=max_jitter)
     return factor.solve(rhs)
-
-
-def conjugate_gradient(m: np.ndarray, rhs: np.ndarray, tol: float = 1e-10,
-                       max_iter: int = 1000) -> tuple[np.ndarray, bool]:
-    """Plain conjugate gradient for SPD systems.
-
-    Returns the best iterate together with a convergence flag; convergence
-    means ``|m x - rhs| <= tol * |rhs|``.
-
-    Raises
-    ------
-    NonFinite
-        If the iterates diverge to non-finite values.
-    """
-    m = np.asarray(m, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    x = np.zeros_like(b)
-    r = b - m @ x
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x, True
-    p = r.copy()
-    rs = float(r @ r)
-    best_x, best_res = x.copy(), np.linalg.norm(r)
-    for _ in range(max_iter):
-        if best_res <= tol * bnorm:
-            return best_x, True
-        mp = m @ p
-        denom = float(p @ mp)
-        if denom <= 0.0:
-            break  # lost positive definiteness; return best iterate
-        alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * mp
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(r))):
-            raise NonFinite("conjugate gradient iterates became non-finite")
-        res = np.linalg.norm(r)
-        if res < best_res:
-            best_x, best_res = x.copy(), res
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return best_x, bool(best_res <= tol * bnorm)
 
 
 def is_psd(m: np.ndarray, tol_jitter: float = 1e-8) -> bool:

@@ -50,6 +50,43 @@ class TestFoldedMean:
         with pytest.raises(ValueError):
             analysis.folded_mean(0.0, -1.0)
 
+    def test_equals_the_scipy_stats_expression_bit_for_bit(self, rng):
+        from scipy import stats
+
+        mus = np.r_[np.linspace(-40.0, 40.0, 161), rng.normal(scale=5.0, size=200), 0.0]
+        for sigma in (1e-12, 1e-3, 0.3, 1.0, 2.5, 1e3):
+            for mu in mus:
+                old = float(
+                    sigma * np.sqrt(2.0 / np.pi) * np.exp(-mu * mu / (2.0 * sigma * sigma))
+                    + mu * (1.0 - 2.0 * stats.norm.cdf(-mu / sigma))
+                )
+                assert analysis.folded_mean(mu, sigma) == old
+
+
+class TestAverageRanks:
+    def test_untied_ranks_are_a_permutation(self, rng):
+        x = rng.normal(size=50)
+        ranks = analysis.average_ranks(x)
+        np.testing.assert_array_equal(np.sort(ranks), np.arange(1.0, 51.0))
+        np.testing.assert_array_equal(np.argsort(ranks), np.argsort(x))
+
+    def test_ties_share_their_average_rank(self):
+        ranks = analysis.average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0, -0.0, 0.0]))
+        np.testing.assert_array_equal(ranks, [6.0, 3.0, 6.0, 4.0, 6.0, 1.5, 1.5])
+
+    def test_equals_scipy_rankdata_exactly(self, rng):
+        from scipy import stats
+
+        for n in (0, 1, 2, 7, 100):
+            for x in (rng.normal(size=n),
+                      rng.integers(0, 4, size=n).astype(float),
+                      np.full(n, 2.5),
+                      np.r_[rng.normal(size=n), np.nan]):    # NaN propagates
+                ranks = analysis.average_ranks(x)
+                expected = stats.rankdata(x)
+                assert ranks.dtype == expected.dtype
+                np.testing.assert_array_equal(ranks, expected)
+
 
 class TestGlobalImportance:
     def test_jensen_inequality_per_feature(self, batch):

@@ -9,16 +9,20 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_python(argv, cwd, env_extra=None):
     # the child runs in cwd, so the package path must be absolute
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "ssvkit.cli", *args],
+        [sys.executable, *argv],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
+
+
+def run_cli(args, cwd, env_extra=None):
+    return run_python(["-m", "ssvkit.cli", *args], cwd, env_extra)
 
 
 @pytest.fixture
@@ -190,6 +194,54 @@ class TestInputBoundary:
                        "--instances", "new.csv", "--credible", "1.5"], workdir)
         assert_one_line_input_error(res)
 
+    RAGGED = "a,b,c\n0.1,0.2,0.3\n0.4,0.5\n"
+    NON_FINITE = "a,b,c\n0.1,0.2,0.3\n0.4,nan,0.6\n"
+
+    @pytest.mark.parametrize("text,where", [
+        (RAGGED, "column 'c'"),
+        ("a,b,c\n0.1,0.2,0.3,0.4\n", "row 2"),
+        (NON_FINITE, "column 'b'"),
+        ("a,b,c\n0.1,0.2,-inf\n", "column 'c'"),
+        ("a,b,c\n", "no data rows"),
+    ])
+    def test_bad_instances_csv_exits_2(self, workdir, text, where):
+        fitted(workdir)
+        (workdir / "bad.csv").write_text(text)
+        res = run_cli(["explain", "--posterior", "posterior.json",
+                       "--instances", "bad.csv"], workdir)
+        assert_one_line_input_error(res)
+        assert "bad.csv" in res.stderr and where in res.stderr
+
+    @pytest.mark.parametrize("text", [RAGGED, NON_FINITE])
+    def test_bad_training_csv_exits_2(self, workdir, text):
+        (workdir / "bad.csv").write_text(text)
+        res = run_cli(["fit", "--data", "bad.csv", "--target", "c"], workdir)
+        assert_one_line_input_error(res)
+        assert "bad.csv" in res.stderr and "row 3" in res.stderr
+
+    @pytest.mark.parametrize("text", [RAGGED, NON_FINITE])
+    def test_bad_predict_instances_csv_exits_2(self, workdir, text):
+        (workdir / "wide.csv").write_text(
+            "x_1,x_2,x_3,phi_1,phi_2,phi_3\n0,0,0,0,0,0\n1,1,1,0.5,0.5,0.5\n")
+        (workdir / "bad.csv").write_text(text)
+        res = run_cli(["predict-explain", "--explanations", "wide.csv",
+                       "--instances", "bad.csv"], workdir)
+        assert_one_line_input_error(res)
+        assert "bad.csv" in res.stderr and "row 3" in res.stderr
+
+    def test_inconsistent_posterior_exits_2(self, workdir):
+        # one inducing point with a 2-vector mean: the explainer's einsum
+        # would broadcast the size-1 axis and answer with exit 0
+        doc = json.loads(fitted(workdir).read_text())
+        doc["inducing_points"] = doc["inducing_points"][:1]
+        doc["mean_at_inducing"] = doc["mean_at_inducing"][:2]
+        doc["cov_at_inducing"] = [[1.0]]
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        res = run_cli(["explain", "--posterior", "bad.json",
+                       "--instances", "instances.csv"], workdir)
+        assert_one_line_input_error(res)
+        assert "bad.json" in res.stderr and "mean" in res.stderr
+
     def test_instance_out_of_range_exits_2(self, workdir):
         fitted(workdir)
         run_cli(["explain", "--posterior", "posterior.json",
@@ -198,6 +250,32 @@ class TestInputBoundary:
                       workdir)
         assert_one_line_input_error(res)
         assert "--instance 5" in res.stderr
+
+
+class TestRoundTrip:
+    def test_fit_then_explain_matches_the_library(self, workdir):
+        from ssvkit import coalition, explain, gp
+
+        fitted(workdir)
+        res = run_cli(["explain", "--posterior", "posterior.json",
+                       "--instances", "instances.csv", "-o", "expl.json"], workdir)
+        assert res.returncode == 0, res.stderr
+        post = gp.GPPosterior.from_json((workdir / "posterior.json").read_text())
+        doc = json.loads((workdir / "expl.json").read_text())
+        batch = explain.gpshap(post, coalition.enumerate_coalitions(3), np.asarray(doc["X"]),
+                               feature_names=["a", "b", "c"])
+        np.testing.assert_array_equal(doc["means"], batch.means)
+        np.testing.assert_array_equal(
+            doc["cov"], [batch.covariance(k) for k in range(batch.n_instances)])
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        # scipy.stats alone costs about a second of every command's start-up
+        res = run_python(
+            ["-c", "import sys, ssvkit.cli; print('scipy.stats' in sys.modules)"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestPredictExplain:

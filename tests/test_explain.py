@@ -237,6 +237,18 @@ class TestCredibleIntervalsAndExport:
         np.testing.assert_allclose(hi - lo, 2 * 1.959963984540054 * sds, atol=1e-9)
         np.testing.assert_allclose((hi + lo) / 2, batch.means, atol=1e-12)
 
+    def test_equals_the_scipy_stats_expression_bit_for_bit(self, setup):
+        from scipy import stats
+
+        post, data, design = setup
+        batch = explain.bayesgpshap(post, design, data.X[:3])
+        sds = batch.stds()
+        for level in np.r_[np.linspace(0.001, 0.999, 37), 0.5, 0.9, 0.95, 0.99, 1 - 1e-12]:
+            z = float(stats.norm.ppf(0.5 * (1.0 + level)))
+            lo, hi = explain.credible_intervals(batch, level)
+            np.testing.assert_array_equal(lo, batch.means - z * sds)
+            np.testing.assert_array_equal(hi, batch.means + z * sds)
+
     def test_level_validation(self, setup):
         post, data, design = setup
         batch = explain.gpshap(post, design, data.X[:1])

@@ -130,6 +130,45 @@ class TestFitExact:
         assert restored.noise == post.noise
 
 
+class TestPosteriorValidation:
+    @pytest.fixture
+    def post(self, small_data):
+        params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
+        return gp.fit_exact(small_data, params, noise=0.1, inducing=np.array([0, 4, 9]))
+
+    def rebuild(self, post, **fields):
+        doc = dict(inducing_points=post.inducing_points, mean_at_inducing=post.mean_at_inducing,
+                   cov_at_inducing=post.cov_at_inducing, kernel=post.kernel, noise=post.noise)
+        doc.update(fields)
+        return gp.GPPosterior(**doc)
+
+    def test_valid_fields_are_kept_as_given(self, post):
+        again = self.rebuild(post)
+        assert again.inducing_points is post.inducing_points
+        assert again.mean_at_inducing is post.mean_at_inducing
+        assert again.cov_at_inducing is post.cov_at_inducing
+
+    @pytest.mark.parametrize("fields", [
+        {"inducing_points": np.zeros(3)},                       # not 2-D
+        {"inducing_points": np.zeros((3, 2))},                  # d != kernel.dim
+        {"mean_at_inducing": np.zeros(2)},                      # mean length != m
+        {"mean_at_inducing": np.zeros((3, 1))},
+        {"cov_at_inducing": np.eye(1)},                         # not m x m
+        {"cov_at_inducing": np.eye(3)[:, :2]},
+        {"cov_at_inducing": np.diag([1.0, np.nan, 1.0])},       # not finite
+        {"mean_at_inducing": np.array([0.0, np.inf, 0.0])},
+        {"cov_at_inducing": np.eye(3) + np.triu(np.full((3, 3), 1e-6), 1)},  # asymmetric
+    ])
+    def test_malformed_posterior_is_rejected(self, post, fields):
+        with pytest.raises(ValueError):
+            self.rebuild(post, **fields)
+
+    def test_symmetry_is_relative_to_the_largest_entry(self, post):
+        cov = post.cov_at_inducing * 1e6
+        cov[0, 1] += 1e-4                     # 1e-10 relative to entries of order 1e6
+        self.rebuild(post, cov_at_inducing=cov)
+
+
 class TestMarginalLikelihood:
     def test_one_point_closed_form(self):
         # y ~ N(0, variance + noise) for a single observation

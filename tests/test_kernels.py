@@ -97,3 +97,33 @@ class TestMedianHeuristic:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             median_heuristic(np.array([[1.0, 2.0]]))
+
+    @staticmethod
+    def _pairwise_median(X):
+        # the definition: median of |X[a, u] - X[b, u]| over all pairs a < b
+        iu = np.triu_indices(X.shape[0], k=1)
+        meds = [float(np.median(np.abs(X[iu[0], u] - X[iu[1], u])))
+                for u in range(X.shape[1])]
+        return np.array([m if m > 0.0 else 1.0 for m in meds])
+
+    def test_equals_the_pairwise_definition_exactly(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4, 17, 60):
+            X = rng.normal(size=(n, 4))
+            X[:, 1] = np.round(X[:, 1], 1)          # ties
+            X[:, 2] = rng.integers(0, 3, size=n)    # heavy ties
+            X[:, 3] = -1.25                         # constant column
+            np.testing.assert_array_equal(median_heuristic(X), self._pairwise_median(X))
+
+    def test_memory_is_one_buffer_of_pairs(self):
+        import tracemalloc
+
+        X = np.random.default_rng(6).normal(size=(1000, 10))
+        tracemalloc.start()
+        try:
+            median_heuristic(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float buffer of n(n-1)/2 pair distances is 4.0 MB
+        assert peak < 5e6

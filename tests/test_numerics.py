@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssvkit import numerics
-from ssvkit.errors import JitterExceeded, NonFinite
+from ssvkit.errors import JitterExceeded
 
 
 class TestCholeskyPsd:
@@ -109,42 +109,3 @@ class TestSolveRegularized:
         inv = numerics.solve_regularized(m, 0.3, np.eye(7))
         assert np.max(np.abs(inv - inv.T)) < 1e-10
         np.testing.assert_allclose((m + 0.3 * np.eye(7)) @ inv, np.eye(7), atol=1e-8)
-
-
-class TestConjugateGradient:
-    def test_identity_one_iteration(self):
-        b = np.array([1.0, 2.0, 3.0])
-        x, ok = numerics.conjugate_gradient(np.eye(3), b, tol=1e-12, max_iter=1)
-        assert ok
-        np.testing.assert_allclose(x, b, atol=1e-12)
-
-    def test_zero_rhs(self):
-        x, ok = numerics.conjugate_gradient(np.eye(3), np.zeros(3))
-        assert ok
-        np.testing.assert_array_equal(x, np.zeros(3))
-
-    def test_matches_direct_solve(self, rng):
-        m = rng.normal(size=(4, 4))
-        m = m @ m.T + 0.5 * np.eye(4)
-        b = rng.normal(size=4)
-        x, ok = numerics.conjugate_gradient(m, b, tol=1e-10, max_iter=100)
-        assert ok
-        direct = numerics.solve_regularized(m - 0.5 * np.eye(4), 0.5, b)
-        np.testing.assert_allclose(x, direct, atol=1e-6)
-
-    def test_agrees_within_10x_tol(self, rng):
-        for _ in range(10):
-            m = rng.normal(size=(8, 8))
-            m = m @ m.T + np.eye(8)
-            b = rng.normal(size=8)
-            tol = 1e-8
-            x, ok = numerics.conjugate_gradient(m, b, tol=tol, max_iter=200)
-            assert ok
-            direct = np.linalg.solve(m, b)
-            assert np.linalg.norm(x - direct) <= 10 * tol * np.linalg.norm(b) + 1e-12
-
-    def test_nonfinite_raises(self):
-        m = np.array([[1.0, 0.0], [0.0, np.inf]])
-        with np.errstate(invalid="ignore"):
-            with pytest.raises((NonFinite, ValueError)):
-                numerics.conjugate_gradient(m, np.array([1.0, 1.0]))
