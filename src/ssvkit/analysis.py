@@ -57,19 +57,28 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def importance(means: np.ndarray, sds: np.ndarray) -> GlobalImportance:
+    """Folded-normal and absolute means per feature, averaged over the rows."""
+    n, d = means.shape
+    folded = np.array([[folded_mean(means[k, i], sds[k, i]) for i in range(d)]
+                       for k in range(n)])
+    # column by column: mean(axis=0) sums in another order and would change
+    # the last bit of figures `ssvkit analyze` has always written
+    return GlobalImportance(
+        mean_abs_ssv=np.array([folded[:, i].mean() for i in range(d)]),
+        abs_mean_ssv=np.array([np.abs(means[:, i]).mean() for i in range(d)]),
+    )
+
+
 def global_importance(batch: ExplanationBatch) -> GlobalImportance:
     """Average folded-normal means and absolute means across instances."""
-    sds = batch.stds()
-    folded = np.array(
-        [
-            [folded_mean(batch.means[k, i], sds[k, i]) for i in range(batch.d)]
-            for k in range(batch.n_instances)
-        ]
-    )
-    return GlobalImportance(
-        mean_abs_ssv=folded.mean(axis=0),
-        abs_mean_ssv=np.abs(batch.means).mean(axis=0),
-    )
+    return importance(batch.means, batch.stds())
+
+
+def value_quantiles(X: np.ndarray) -> np.ndarray:
+    """Midpoint-convention quantile of every entry of X within its column."""
+    return np.stack([(average_ranks(X[:, i]) - 0.5) / X.shape[0]
+                     for i in range(X.shape[1])], axis=1)
 
 
 def correlation_matrix(cov: np.ndarray) -> np.ndarray:
@@ -127,23 +136,11 @@ def beeswarm_export(batch: ExplanationBatch, X_explain: np.ndarray) -> list[dict
         raise ValueError("explanation batch and instance matrix shapes disagree")
     names = batch.feature_names or [f"x_{i + 1}" for i in range(d)]
     sds = batch.stds()
-    ranks = np.stack(
-        [(average_ranks(X_explain[:, i]) - 0.5) / n for i in range(d)], axis=1
-    )
+    ranks = value_quantiles(X_explain)
     spans = batch.means.max(axis=0) - batch.means.min(axis=0)
     order = np.argsort(-spans, kind="stable")
-    rows = []
-    for rank_pos, i in enumerate(order):
-        for k in range(n):
-            rows.append(
-                {
-                    "instance": k,
-                    "feature": names[i],
-                    "feature_rank": rank_pos,
-                    "mean": float(batch.means[k, i]),
-                    "sd": float(sds[k, i]),
-                    "feature_value": float(X_explain[k, i]),
-                    "feature_value_quantile": float(ranks[k, i]),
-                }
-            )
-    return rows
+    return [{"instance": k, "feature": names[i], "feature_rank": rank_pos,
+             "mean": float(batch.means[k, i]), "sd": float(sds[k, i]),
+             "feature_value": float(X_explain[k, i]),
+             "feature_value_quantile": float(ranks[k, i])}
+            for rank_pos, i in enumerate(order) for k in range(n)]

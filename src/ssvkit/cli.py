@@ -2,13 +2,15 @@
 
 Every subcommand is deterministic under its seed; JSON outputs are
 pretty-printed with stable key order so reruns are byte-identical.
-Exit codes: 2 for parse/validation problems, 3 for numerics failures,
-1 for selftest oracle failures.
+Exit codes: 2 for input problems, 3 for numerics failures, 1 for selftest
+oracle failures; ``_Main.invoke`` is the only place that maps errors to
+the first two.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -18,53 +20,64 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import analysis, cme, coalition, explain, gp, kernels, shapley_prior
-from .errors import CountOutOfRange, SsvkitError
+from .errors import SsvkitError
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Main(click.Group):
+    """The one map from errors to exit codes: an input error (a ``ValueError``,
+    as the library's input errors are, or an ``OSError``) exits 2 and any other
+    ``SsvkitError`` (numerics) exits 3, each with one ``error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            code, message = 2, str(exc)
+        except SsvkitError as exc:
+            code, message = 3, str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
-def _read_csv_matrix(path: str, target: str | None = None):
-    """Read a numeric CSV with a header row.
+def _read_csv_matrix(path: str, target: str | None = None, text: str | None = None):
+    """Read a numeric CSV with a header row (from ``text`` when given).
 
     Returns (header, matrix, target_vector); target_vector is None when no
     target column was requested.  A row whose cell count differs from the
     header's and a non-numeric or non-finite cell are reported with their
     row and column location.
     """
-    try:
+    if text is None:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        _fail(2, f"cannot read {path}: {exc}")
+            text = fh.read()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
-        _fail(2, f"{path} is empty")
+        raise ValueError(f"{path} is empty")
     if len(rows) < 2:
-        _fail(2, f"{path} has a header but no data rows")
+        raise ValueError(f"{path} has a header but no data rows")
     header = rows[0]
     t_idx = None
     if target is not None:
         if target not in header:
-            _fail(2, f"target column {target!r} not found in {path}")
+            raise ValueError(f"target column {target!r} not found in {path}")
         t_idx = header.index(target)
     data, y = [], []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             where = (f"column {header[len(row)]!r} is missing" if len(row) < len(header)
                      else f"column {len(header) + 1} has no header")
-            _fail(2, f"row {r} has {len(row)} cells, the header has {len(header)} "
-                     f"({where}) in {path}")
+            raise ValueError(f"row {r} has {len(row)} cells, the header has {len(header)} "
+                             f"({where}) in {path}")
         vals = []
         for c, cell in enumerate(row):
             try:
                 v = float(cell)
             except ValueError:
-                _fail(2, f"non-numeric value {cell!r} at row {r}, column {header[c]!r} in {path}")
+                raise ValueError(f"non-numeric value {cell!r} at row {r}, "
+                                 f"column {header[c]!r} in {path}") from None
             if not math.isfinite(v):
-                _fail(2, f"non-finite value {cell!r} at row {r}, column {header[c]!r} in {path}")
+                raise ValueError(f"non-finite value {cell!r} at row {r}, "
+                                 f"column {header[c]!r} in {path}")
             if c == t_idx:
                 y.append(v)
             else:
@@ -90,32 +103,23 @@ def _floats(spec: str) -> list[float]:
 def _credible_level(ctx, param, value):
     """Click callback: a credible level must lie strictly inside (0, 1)."""
     if value is not None and not 0.0 < value < 1.0:
-        _fail(2, f"--credible must lie in (0, 1), got {value!r}")
+        raise ValueError(f"--credible must lie in (0, 1), got {value!r}")
     return value
 
 
 def _design(d: int, coalitions: str, seed: int) -> coalition.CoalitionDesign:
     """The design a --coalitions value names: 'full' or a sampled count."""
-    if coalitions == "full":
-        if d > coalition.ENUMERATION_CAP:
-            _fail(2, f"full enumeration is capped at d <= {coalition.ENUMERATION_CAP}; "
-                     "use --coalitions N")
-        return coalition.enumerate_coalitions(d)
     try:
+        if coalitions == "full":
+            return coalition.enumerate_coalitions(d)
         return coalition.sample_coalitions(d, int(coalitions), seed)
-    except ValueError:
-        _fail(2, f"--coalitions must be 'full' or an integer, got {coalitions!r}")
-    except CountOutOfRange as exc:
-        _fail(2, f"--coalitions {coalitions}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"--coalitions {coalitions}: {exc}") from None
 
 
-@click.group()
-@click.option("--threads", type=int, default=None, envvar="SSVKIT_THREADS",
-              help="Internal parallelism hint; outputs do not depend on it.")
-def main(threads):
+@click.group(cls=_Main)
+def main():
     """Stochastic Shapley-value explanations for GP regression models."""
-    if threads is not None and threads < 1:
-        _fail(2, "--threads must be a positive integer")
 
 
 @main.command("fit")
@@ -135,25 +139,14 @@ def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractio
             seed, output):
     """Fit an exact GP to a CSV dataset and store its inducing-set posterior."""
     names, X, y = _read_csv_matrix(data_path, target)
-    try:
-        data = gp.Dataset(X=X, y=y, feature_names=names)
-        base = kernels.median_heuristic(data.X)
-        var_y = float(np.var(data.y)) or 1.0
-        grid = [
-            (kernels.KernelParams(variance=1.0, lengthscales=m * base), f * var_y)
-            for m in _floats(ls_multipliers)
-            for f in _floats(noise_fractions)
-        ]
-        params, noise = gp.select_hyperparameters(data, grid)
-        count = data.n if inducing is None else inducing
-        strategy = "all" if count >= data.n else strategy
-        idx = gp.select_inducing(data, min(count, data.n), strategy, seed)
-        posterior = gp.fit_exact(data, params, noise, idx)
-        ll = gp.log_marginal_likelihood(data, params, noise)
-    except ValueError as exc:
-        _fail(2, str(exc))
-    except SsvkitError as exc:
-        _fail(3, str(exc))
+    data = gp.Dataset(X=X, y=y, feature_names=names)
+    grid = gp.default_grid(data, _floats(ls_multipliers), _floats(noise_fractions))
+    params, noise = gp.select_hyperparameters(data, grid)
+    count = data.n if inducing is None else inducing
+    strategy = "all" if count >= data.n else strategy
+    idx = gp.select_inducing(data, min(count, data.n), strategy, seed)
+    posterior = gp.fit_exact(data, params, noise, idx)
+    ll = gp.log_marginal_likelihood(data, params, noise)
     _write(output, posterior.to_json() + "\n")
     click.echo(
         f"n={data.n} d={data.d} n_inducing={posterior.n_inducing} "
@@ -163,11 +156,11 @@ def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractio
 
 
 def _load_posterior(path: str) -> gp.GPPosterior:
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             return gp.GPPosterior.from_json(fh.read())
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        _fail(2, f"cannot load posterior from {path}: {exc}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"cannot load posterior from {path}: {exc}") from None
 
 
 @main.command("explain")
@@ -192,22 +185,16 @@ def cmd_explain(posterior_path, instances_path, algo, coalitions, lam, ell0,
     """Explain instances with GP-SHAP, BayesGP-SHAP, or BayesSHAP."""
     posterior = _load_posterior(posterior_path)
     names, X, _ = _read_csv_matrix(instances_path)
-    if X.shape[1] != posterior.d:
-        _fail(2, f"instances have {X.shape[1]} features, posterior expects {posterior.d}")
     design = _design(posterior.d, coalitions, seed)
     config = explain.BayesConfig(ell0=ell0, sigma0_sq=sigma0_sq, seed=seed)
-    try:
-        if algo == "gpshap":
-            batch = explain.gpshap(posterior, design, X, lam, feature_names=names)
-        elif algo == "bayesgpshap":
-            batch = explain.bayesgpshap(posterior, design, X, lam, config,
-                                        feature_names=names)
-        else:
-            base = explain.gpshap(posterior, design, X, lam)
-            batch = explain.bayesshap_deterministic(base.payoff_means, design, config,
-                                                    feature_names=names)
-    except SsvkitError as exc:
-        _fail(3, str(exc))
+    if algo == "gpshap":
+        batch = explain.gpshap(posterior, design, X, lam, feature_names=names)
+    elif algo == "bayesgpshap":
+        batch = explain.bayesgpshap(posterior, design, X, lam, config, feature_names=names)
+    else:
+        base = explain.gpshap(posterior, design, X, lam)
+        batch = explain.bayesshap_deterministic(base.payoff_means, design, config,
+                                                feature_names=names)
     if fmt == "csv":
         _write(output, batch.to_csv(level=credible if credible else 0.95))
     else:
@@ -222,33 +209,65 @@ def cmd_explain(posterior_path, instances_path, algo, coalitions, lam, ell0,
                f"({design.n_coalitions} coalitions)")
 
 
-def _load_explanations(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load (X, Phi) from a wide CSV with x_*/phi_* columns or explain JSON."""
+def _json_array(doc: dict, key: str, path: str, shape: tuple | None = None) -> np.ndarray:
+    """doc[key] as a finite float array of ``shape`` (default: a non-empty matrix)."""
     try:
-        text = open(path).read()
-    except OSError as exc:
-        _fail(2, f"cannot read {path}: {exc}")
-    if path.endswith(".json") or text.lstrip().startswith("{"):
+        a = np.asarray(doc[key], dtype=float)
+    except KeyError:
+        raise ValueError(f"{path} has no {key!r} entry") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key!r} in {path} is not a numeric array") from None
+    if (a.shape != shape) if shape else (a.ndim != 2 or a.size == 0):
+        want = " x ".join(map(str, shape)) if shape else "a non-empty matrix"
+        raise ValueError(f"{key!r} in {path} must be {want}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{key!r} in {path} has non-finite entries")
+    return a
+
+
+def _wide_csv(path: str, text: str) -> dict:
+    """The inputs ("X") and means of a CSV's x_<k> and phi_<k> columns."""
+    header, M, _ = _read_csv_matrix(path, text=text)
+    cols = {"x": [], "phi": []}
+    for j, name in enumerate(header):
+        kind, sep, k = name.partition("_")
+        if kind in cols and sep:
+            if not k.isdecimal():
+                raise ValueError(f"column {name!r} in {path} is not named {kind}_<integer>")
+            cols[kind].append((int(k), j))
+    x_cols, p_cols = ([j for _, j in sorted(c)] for c in cols.values())
+    if not x_cols or len(x_cols) != len(p_cols):
+        raise ValueError(f"{path} must provide matching x_1..x_d and phi_1..phi_d columns")
+    return {"X": M[:, x_cols], "means": M[:, p_cols]}
+
+
+def _load_explanations(path: str, need: str):
+    """(X, means, cov, feature_names) from explain's JSON or a wide CSV.
+
+    ``means`` must be an n x d matrix, ``X`` n x d and ``cov`` n x d x d
+    (each checked when present, required when named by ``need``) and all
+    finite; ``feature_names`` must list d names.  Absent parts are None.
+    """
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if path.endswith(".json") or text.lstrip()[:1] in ("{", "["):
         try:
             doc = json.loads(text)
-            return np.asarray(doc["X"], float), np.asarray(doc["means"], float)
-        except (KeyError, ValueError) as exc:
-            _fail(2, f"{path} is not a usable explanation file: {exc}")
-    rows = list(csv.DictReader(text.splitlines()))
-    if not rows:
-        _fail(2, f"{path} contains no rows")
-    x_cols = sorted((c for c in rows[0] if c.startswith("x_")),
-                    key=lambda c: int(c.split("_")[1]))
-    p_cols = sorted((c for c in rows[0] if c.startswith("phi_")),
-                    key=lambda c: int(c.split("_")[1]))
-    if not x_cols or len(x_cols) != len(p_cols):
-        _fail(2, f"{path} must provide matching x_1..x_d and phi_1..phi_d columns")
-    try:
-        X = np.array([[float(r[c]) for c in x_cols] for r in rows])
-        Phi = np.array([[float(r[c]) for c in p_cols] for r in rows])
-    except ValueError as exc:
-        _fail(2, f"non-numeric cell in {path}: {exc}")
-    return X, Phi
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path} must hold a JSON object")
+    else:
+        doc = _wide_csv(path, text)
+    means = _json_array(doc, "means", path)
+    n, d = means.shape
+    X, cov = (_json_array(doc, key, path, shape) if key in doc or key == need else None
+              for key, shape in (("X", (n, d)), ("cov", (n, d, d))))
+    names = doc.get("feature_names")
+    if names is not None and not (isinstance(names, list) and len(names) == d
+                                  and all(isinstance(s, str) for s in names)):
+        raise ValueError(f"'feature_names' in {path} must list {d} names")
+    return X, means, cov, names
 
 
 @main.command("predict-explain")
@@ -265,32 +284,25 @@ def _load_explanations(path: str) -> tuple[np.ndarray, np.ndarray]:
 def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noise,
                         credible, seed, output):
     """Predict explanations for new instances from previously computed ones."""
-    X, Phi = _load_explanations(expl_path)
+    X, Phi, _, _ = _load_explanations(expl_path, need="X")
     _, X_new, _ = _read_csv_matrix(instances_path)
     if X_new.shape[1] != X.shape[1]:
-        _fail(2, f"new instances have {X_new.shape[1]} features, "
-                 f"explanations have {X.shape[1]}")
+        raise ValueError(f"new instances have {X_new.shape[1]} features, "
+                         f"explanations have {X.shape[1]}")
     design = _design(X.shape[1], coalitions, seed)
-    try:
-        data = shapley_prior.ExplanationDataset(X=X, Phi=Phi)
-        anchor_pts = shapley_prior.farthest_point_anchors(X, anchors)
-        params = kernels.KernelParams(
-            variance=1.0, lengthscales=kernels.median_heuristic(X)
-        )
-        if lam is None:
-            lam = cme.default_lambda(anchor_pts.shape[0])
-        model = shapley_prior.fit(data, anchor_pts, params, design, lam, noise)
-        means, covs = shapley_prior.predict_batch(model, X_new)
-        out = {"means": means.tolist(), "cov": covs.tolist()}
-        if credible:
-            z = float(ndtri(0.5 * (1 + credible)))
-            sds = np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
-            out["credible_level"] = credible
-            out["lo"], out["hi"] = (means - z * sds).tolist(), (means + z * sds).tolist()
-    except ValueError as exc:
-        _fail(2, str(exc))
-    except SsvkitError as exc:
-        _fail(3, str(exc))
+    data = shapley_prior.ExplanationDataset(X=X, Phi=Phi)
+    anchor_pts = shapley_prior.farthest_point_anchors(X, anchors)
+    params = kernels.KernelParams(variance=1.0, lengthscales=kernels.median_heuristic(X))
+    if lam is None:
+        lam = cme.default_lambda(anchor_pts.shape[0])
+    model = shapley_prior.fit(data, anchor_pts, params, design, lam, noise)
+    means, covs = shapley_prior.predict_batch(model, X_new)
+    out = {"means": means.tolist(), "cov": covs.tolist()}
+    if credible:
+        z = float(ndtri(0.5 * (1 + credible)))
+        sds = np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
+        out["credible_level"] = credible
+        out["lo"], out["hi"] = (means - z * sds).tolist(), (means + z * sds).tolist()
     _write(output, json.dumps(out, indent=2, sort_keys=True) + "\n")
     click.echo(f"predicted explanations for {X_new.shape[0]} instances "
                f"from {X.shape[0]} observed ones")
@@ -305,55 +317,36 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
               help="Output file prefix.")
 def cmd_analyze(expl_path, instance, sparsity, prefix):
     """Emit global importance, correlation, graph edges, and beeswarm tables."""
-    try:
-        doc = json.load(open(expl_path))
-        means = np.asarray(doc["means"], float)
-        covs = [np.asarray(c, float) for c in doc["cov"]]
-        names = doc.get("feature_names")
-        X = np.asarray(doc["X"], float) if "X" in doc else None
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        _fail(2, f"cannot load explanations with covariance from {expl_path}: {exc}")
-    if not 0 <= instance < len(covs):
-        _fail(2, f"--instance {instance} is out of range: {expl_path} holds "
-                 f"{len(covs)} instances")
-    d = means.shape[1]
+    X, means, cov, names = _load_explanations(expl_path, need="cov")
+    n, d = means.shape
+    if not 0 <= instance < n:
+        raise ValueError(f"--instance {instance} is out of range: {expl_path} holds "
+                         f"{n} instances")
     names = names or [f"x_{i + 1}" for i in range(d)]
-    sds = np.array([np.sqrt(np.maximum(np.diag(c), 0.0)) for c in covs])
-
-    folded = np.array([
-        [analysis.folded_mean(means[k, i], sds[k, i]) for i in range(d)]
-        for k in range(means.shape[0])
-    ])
+    sds = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
+    imp = analysis.importance(means, sds)
+    corr = analysis.correlation_matrix(cov[instance])
+    edges = analysis.precision_graph(cov[instance], sparsity)
     lines = ["feature,mean_abs_ssv,abs_mean_ssv"]
-    for i in range(d):
-        lines.append(
-            f"{names[i]},{float(folded[:, i].mean())!r},"
-            f"{float(np.abs(means[:, i]).mean())!r}"
-        )
+    for name, folded, absolute in zip(names, imp.mean_abs_ssv, imp.abs_mean_ssv):
+        lines.append(f"{name},{float(folded)!r},{float(absolute)!r}")
     _write(f"{prefix}_global.csv", "\n".join(lines) + "\n")
-
-    corr = analysis.correlation_matrix(covs[instance])
     _write(f"{prefix}_correlation.json",
            json.dumps({"feature_names": names, "correlation": corr.tolist()},
                       indent=2, sort_keys=True) + "\n")
-
-    edges = analysis.precision_graph(covs[instance], sparsity)
     lines = ["feature_i,feature_j,partial_correlation"]
     for i, j, r in edges:
         lines.append(f"{names[i]},{names[j]},{float(r)!r}")
     _write(f"{prefix}_graph.csv", "\n".join(lines) + "\n")
-
     if X is not None:
-        ranks = np.stack(
-            [(analysis.average_ranks(X[:, i]) - 0.5) / X.shape[0] for i in range(d)],
-            axis=1,
-        )
+        # instance-major rows, unlike analysis.beeswarm_export's feature-major ones
+        quantiles = analysis.value_quantiles(X)
         lines = ["instance,feature,mean,sd,feature_value,feature_value_quantile"]
-        for k in range(means.shape[0]):
+        for k in range(n):
             for i in range(d):
                 lines.append(
                     f"{k},{names[i]},{float(means[k, i])!r},{float(sds[k, i])!r},"
-                    f"{float(X[k, i])!r},{float(ranks[k, i])!r}"
+                    f"{float(X[k, i])!r},{float(quantiles[k, i])!r}"
                 )
         _write(f"{prefix}_beeswarm.csv", "\n".join(lines) + "\n")
     click.echo(f"wrote {prefix}_global.csv, {prefix}_correlation.json, "

@@ -41,6 +41,11 @@ class BayesConfig:
     sigma0_sq: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        for name, value in (("ell0", self.ell0), ("sigma0_sq", self.sigma0_sq)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExplanationBatch:

@@ -136,16 +136,22 @@ def select_inducing(data: Dataset, count: int, strategy: str = "all",
         rng = np.random.default_rng(seed)
         return np.sort(rng.choice(n, size=count, replace=False))
     if strategy == "farthest_point":
-        center = data.X.mean(axis=0)
-        start = int(np.argmin(np.linalg.norm(data.X - center, axis=1)))
-        chosen = [start]
-        min_dist = np.linalg.norm(data.X - data.X[start], axis=1)
-        while len(chosen) < count:
-            nxt = int(np.argmax(min_dist))
-            chosen.append(nxt)
-            min_dist = np.minimum(min_dist, np.linalg.norm(data.X - data.X[nxt], axis=1))
-        return np.array(chosen, dtype=int)
+        return farthest_point_indices(data.X, count)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def farthest_point_indices(X: np.ndarray, count: int) -> np.ndarray:
+    """Rows of X chosen greedily, each maximizing its minimum Euclidean
+    distance to those before it, starting from the row nearest the mean."""
+    center = X.mean(axis=0)
+    start = int(np.argmin(np.linalg.norm(X - center, axis=1)))
+    chosen = [start]
+    min_dist = np.linalg.norm(X - X[start], axis=1)
+    while len(chosen) < count:
+        nxt = int(np.argmax(min_dist))
+        chosen.append(nxt)
+        min_dist = np.minimum(min_dist, np.linalg.norm(X - X[nxt], axis=1))
+    return np.array(chosen, dtype=int)
 
 
 def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
@@ -211,15 +217,11 @@ def select_hyperparameters(
     return best
 
 
-def default_grid(data: Dataset) -> list[tuple[KernelParams, float]]:
-    """Median-heuristic lengthscale multiples crossed with a noise grid."""
+def default_grid(data: Dataset, ls_multipliers: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
+                 noise_fractions: Sequence[float] = (1e-3, 1e-2, 1e-1, 1.0)
+                 ) -> list[tuple[KernelParams, float]]:
+    """Median-heuristic lengthscale multiples crossed with fractions of var(y)."""
     base = kernels.median_heuristic(data.X)
-    var_y = float(np.var(data.y))
-    if var_y <= 0.0:
-        var_y = 1.0
-    grid = []
-    for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
-        params = KernelParams(variance=1.0, lengthscales=mult * base)
-        for noise_frac in (1e-3, 1e-2, 1e-1, 1.0):
-            grid.append((params, noise_frac * var_y))
-    return grid
+    var_y = float(np.var(data.y)) or 1.0
+    return [(KernelParams(variance=1.0, lengthscales=mult * base), frac * var_y)
+            for mult in ls_multipliers for frac in noise_fractions]

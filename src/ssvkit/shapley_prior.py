@@ -21,8 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import cme, kernels, numerics
+from . import cme, gp, kernels, numerics
 from .coalition import CoalitionDesign
+from .errors import CountOutOfRange
 from .kernels import KernelParams
 from .numerics import CholeskyFactor
 
@@ -179,15 +180,8 @@ def induced_payoff(model: ShapleyPriorModel, x_new: np.ndarray) -> np.ndarray:
 
 
 def farthest_point_anchors(X: np.ndarray, count: int) -> np.ndarray:
-    """Greedy farthest-point subset of X, for use as CME anchors."""
+    """Greedy farthest-point subset of X for CME anchors (all rows if count >= n)."""
+    if count < 1:
+        raise CountOutOfRange(f"anchor count must be at least 1, got {count}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    count = min(count, X.shape[0])
-    center = X.mean(axis=0)
-    start = int(np.argmin(np.linalg.norm(X - center, axis=1)))
-    chosen = [start]
-    min_dist = np.linalg.norm(X - X[start], axis=1)
-    while len(chosen) < count:
-        nxt = int(np.argmax(min_dist))
-        chosen.append(nxt)
-        min_dist = np.minimum(min_dist, np.linalg.norm(X - X[nxt], axis=1))
-    return X[np.array(chosen, dtype=int)]
+    return X[gp.farthest_point_indices(X, min(count, X.shape[0]))]

@@ -104,6 +104,32 @@ class TestGlobalImportance:
         gi = analysis.global_importance(frozen)
         np.testing.assert_allclose(gi.mean_abs_ssv, gi.abs_mean_ssv, atol=1e-12)
 
+    def test_matches_the_axis_0_mean_formula(self, batch):
+        # the importance averages column by column; mean(axis=0) may differ
+        # from it in the last bit only
+        sds = batch.stds()
+        folded = np.array([[analysis.folded_mean(batch.means[k, i], sds[k, i])
+                            for i in range(batch.d)] for k in range(batch.n_instances)])
+        gi = analysis.global_importance(batch)
+        np.testing.assert_allclose(gi.mean_abs_ssv, folded.mean(axis=0), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(gi.abs_mean_ssv, np.abs(batch.means).mean(axis=0),
+                                   rtol=1e-14, atol=0)
+
+    def test_importance_of_arrays_equals_column_means_exactly(self, rng):
+        means, sds = rng.normal(size=(7, 3)), rng.uniform(0, 2, size=(7, 3))
+        gi = analysis.importance(means, sds)
+        for i in range(3):
+            folded = [analysis.folded_mean(means[k, i], sds[k, i]) for k in range(7)]
+            assert gi.mean_abs_ssv[i] == np.array(folded).mean()
+            assert gi.abs_mean_ssv[i] == np.abs(means[:, i]).mean()
+
+
+class TestValueQuantiles:
+    def test_midpoint_quantiles_per_column(self):
+        X = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 5.0], [2.0, 0.0]])
+        expected = np.array([[3.5, 2.0], [0.5, 2.0], [2.0, 3.5], [2.0, 0.5]]) / 4
+        np.testing.assert_array_equal(analysis.value_quantiles(X), expected)
+
 
 class TestCorrelationMatrix:
     def test_unit_diagonal_and_range(self, rng):

@@ -1,44 +1,62 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from ssvkit import errors
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_python(argv, cwd, env_extra=None):
+def run_python(argv, cwd):
     # the child runs in cwd, so the package path must be absolute
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, *argv],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
 
 
-def run_cli(args, cwd, env_extra=None):
-    return run_python(["-m", "ssvkit.cli", *args], cwd, env_extra)
+def run_cli(args, cwd):
+    return run_python(["-m", "ssvkit.cli", *args], cwd)
 
 
 @pytest.fixture
 def workdir(tmp_path):
+    write_inputs(tmp_path)
+    return tmp_path
+
+
+def write_inputs(path):
+    """train.csv (40 rows of a, b, c and target) and instances.csv (5 rows)."""
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 3))
     y = np.sin(X[:, 0]) + 0.5 * X[:, 1] + 0.1 * rng.normal(size=40)
     lines = ["a,b,c,target"]
     for row, t in zip(X, y):
         lines.append(",".join(repr(float(v)) for v in row) + f",{float(t)!r}")
-    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    (path / "train.csv").write_text("\n".join(lines) + "\n")
     lines = ["a,b,c"]
     for row in X[:5]:
         lines.append(",".join(repr(float(v)) for v in row))
-    (tmp_path / "instances.csv").write_text("\n".join(lines) + "\n")
-    return tmp_path
+    (path / "instances.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def explained(tmp_path_factory):
+    """Inputs, a fitted posterior.json and its explain output expl.json."""
+    path = tmp_path_factory.mktemp("explained")
+    write_inputs(path)
+    fitted(path)
+    res = run_cli(["explain", "--posterior", "posterior.json",
+                   "--instances", "instances.csv", "-o", "expl.json"], path)
+    assert res.returncode == 0, res.stderr
+    return path
 
 
 def fitted(workdir):
@@ -153,20 +171,6 @@ class TestExplain:
         )
         assert res.returncode == 2
 
-    def test_byte_reproducible_across_thread_counts(self, workdir):
-        fitted(workdir)
-        outputs = []
-        for threads, name in (("1", "r1.json"), ("4", "r2.json")):
-            res = run_cli(
-                ["explain", "--posterior", "posterior.json",
-                 "--instances", "instances.csv", "--algo", "bayesgpshap",
-                 "--seed", "3", "-o", name],
-                workdir, env_extra={"SSVKIT_THREADS": threads},
-            )
-            assert res.returncode == 0, res.stderr
-            outputs.append((workdir / name).read_bytes())
-        assert outputs[0] == outputs[1]
-
 
 def assert_one_line_input_error(res):
     assert res.returncode == 2, res.stderr
@@ -250,6 +254,99 @@ class TestInputBoundary:
                       workdir)
         assert_one_line_input_error(res)
         assert "--instance 5" in res.stderr
+
+    EXPLAIN = ["explain", "--posterior", "posterior.json", "--instances", "instances.csv"]
+    ANALYZE = ["analyze", "--explanations", "bad.json"]
+    PREDICT = ["predict-explain", "--explanations", "bad.csv", "--instances", "new.csv"]
+    THREE_ROWS = "x_1,phi_1\n0.0,0.0\n1.0,0.5\n2.0,1.0\n"
+    COV_2 = [[[1.0, 0.0], [0.0, 1.0]]]
+
+    @pytest.mark.parametrize("files,args,where", [
+        ({}, ["fit", "--data", "train.csv", "--target", "target", "--inducing", "0"],
+         "count must be in [1, 40]"),
+        ({"bad.csv": "a,b,t\n1.0,2.0,3.0\n"}, ["fit", "--data", "bad.csv", "--target", "t"],
+         "at least two points"),
+        ({}, EXPLAIN + ["--lam", "-1"], "lambda must be positive"),
+        ({}, EXPLAIN + ["--lam", "0"], "lambda must be positive"),
+        ({}, EXPLAIN + ["--lam", "nan"], "lambda must be positive"),
+        ({}, EXPLAIN + ["--algo", "bayesgpshap", "--ell0", "nan"], "ell0"),
+        ({}, EXPLAIN + ["--algo", "bayesgpshap", "--ell0", "-1", "--sigma0-sq", "-5"], "ell0"),
+        ({}, EXPLAIN + ["--algo", "bayesgpshap", "--ell0", "-20"], "ell0"),
+        ({}, EXPLAIN + ["--sigma0-sq", "inf"], "sigma0_sq"),
+        ({}, EXPLAIN + ["--coalitions", "9"], "cannot sample 9 distinct coalitions for d=3"),
+        ({}, EXPLAIN + ["-o", "missing/expl.json"], "missing/expl.json"),
+        ({}, ["analyze", "--explanations", "expl.json", "--sparsity", "1.5"], "sparsity"),
+        ({}, ["analyze", "--explanations", "expl.json", "--prefix", "missing/out"],
+         "missing/out_global.csv"),
+        ({"posterior.json": "[1, 2]"}, EXPLAIN, "posterior.json"),
+        ({"bad.json": {"means": [[1.0, 2.0]], "cov": [[[1.0]]], "X": [[0.0, 1.0]]}},
+         ANALYZE, "'cov'"),
+        ({"bad.json": {"means": [1.0, 2.0], "cov": COV_2}}, ANALYZE, "'means'"),
+        ({"bad.json": [{"means": [[1.0, 2.0]], "cov": COV_2}]}, ANALYZE, "JSON object"),
+        ({"bad.json": {"means": [[1.0, 2.0]], "cov": COV_2, "feature_names": ["a"]}},
+         ANALYZE, "'feature_names'"),
+        ({"bad.json": {"means": [[1.0, 2.0]], "cov": COV_2, "X": [[0.0, 1.0], [2.0, 3.0]]}},
+         ANALYZE, "'X'"),
+        ({"bad.csv": "x_1,phi_1\n0.0,0.0\n1.0\n"}, PREDICT, "row 3"),
+        ({"bad.csv": "x_a,phi_1\n0.0,0.0\n1.0,1.0\n"}, PREDICT, "'x_a'"),
+        ({"bad.csv": "x_1,phi_1,note\n0.0,0.0,first\n1.0,1.0,second\n"}, PREDICT, "'note'"),
+        ({"bad.csv": '{"X": [0.0, 1.0], "means": [[0.0], [1.0]]}'}, PREDICT, "'X'"),
+        ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "0"], "anchor count"),
+        ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "-3"], "anchor count"),
+    ], ids=["fit-inducing-0", "fit-one-row", "lam-negative", "lam-0", "lam-nan",
+            "ell0-nan", "ell0-sigma0-negative", "ell0-below-minus-ell", "sigma0-inf",
+            "coalitions-above-2^d", "output-dir-missing", "sparsity-1.5", "prefix-dir-missing",
+            "posterior-list", "analyze-cov-1x1", "analyze-means-1d", "analyze-list",
+            "analyze-names-short", "analyze-X-rows", "wide-short-row", "wide-x_a",
+            "wide-text-column", "predict-X-1d", "anchors-0", "anchors-negative"])
+    def test_bad_input_exits_2(self, explained, tmp_path, files, args, where):
+        for name in ("train.csv", "instances.csv", "posterior.json", "expl.json"):
+            shutil.copy(explained / name, tmp_path)
+        (tmp_path / "new.csv").write_text("x_1\n0.5\n")
+        for name, content in files.items():
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / name).write_text(text)
+        res = run_cli(args, tmp_path)
+        assert_one_line_input_error(res)
+        assert where in res.stderr
+
+    def test_posterior_kernel_not_an_object_exits_2(self, explained, tmp_path):
+        doc = json.loads((explained / "posterior.json").read_text())
+        doc["kernel"] = [1.0]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        res = run_cli(["explain", "--posterior", "bad.json",
+                       "--instances", str(explained / "instances.csv")], tmp_path)
+        assert_one_line_input_error(res)
+        assert "bad.json" in res.stderr
+
+
+class TestErrorMap:
+    def test_input_errors_are_value_errors_and_numerics_errors_are_not(self):
+        for exc in (errors.CountOutOfRange, errors.TooFewPoints, errors.DimensionTooLarge,
+                    errors.DimensionMismatch, errors.DesignMismatch):
+            assert issubclass(exc, errors.SsvkitError) and issubclass(exc, ValueError)
+        for exc in (errors.JitterExceeded, errors.SingularSystem, errors.BoundaryCoalition):
+            assert not issubclass(exc, ValueError)
+
+    @pytest.mark.parametrize("exc,code", [
+        (errors.JitterExceeded("no factor"), 3),
+        (errors.DesignMismatch("no match"), 2),
+        (PermissionError("no access"), 2),
+    ])
+    def test_one_line_and_code_per_error_kind(self, explained, monkeypatch, exc, code):
+        from click.testing import CliRunner
+
+        from ssvkit import cli, explain
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(explain, "gpshap", fail)
+        res = CliRunner().invoke(cli.main, [
+            "explain", "--posterior", str(explained / "posterior.json"),
+            "--instances", str(explained / "instances.csv")])
+        assert res.exit_code == code
+        assert res.stderr == f"error: {exc}\n"
 
 
 class TestRoundTrip:
@@ -379,8 +476,3 @@ class TestSelftest:
         assert res.returncode == 1
         assert "[FAIL] projection-vs-brute-force-oracle" in res.stdout
 
-
-class TestThreads:
-    def test_invalid_thread_count_exits_2(self, workdir):
-        res = run_cli(["--threads", "0", "selftest"], workdir)
-        assert res.returncode == 2

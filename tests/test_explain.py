@@ -157,6 +157,17 @@ class TestSampleSigma2:
         with pytest.raises(ValueError):
             explain.sample_sigma2(BayesConfig(), 0, 1.0)
 
+    @pytest.mark.parametrize("prior", [
+        {"ell0": np.nan}, {"ell0": -1.0}, {"ell0": -20.0},
+        {"sigma0_sq": -5.0}, {"sigma0_sq": np.inf},
+    ])
+    def test_prior_must_be_finite_and_non_negative(self, prior):
+        with pytest.raises(ValueError):
+            BayesConfig(**prior)
+
+    def test_zero_prior_weight_is_allowed(self):
+        assert BayesConfig(ell0=0.0, sigma0_sq=0.0).ell0 == 0.0
+
 
 class TestBayesVariants:
     def test_means_are_shared_across_variants(self, setup):

@@ -214,6 +214,15 @@ class TestSelectHyperparameters:
         with pytest.raises(ValueError):
             gp.select_hyperparameters(small_data, [])
 
+    def test_default_grid_crosses_the_given_multipliers_and_fractions(self, small_data):
+        base = kernels.median_heuristic(small_data.X)
+        var_y = float(np.var(small_data.y))
+        grid = gp.default_grid(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
+        assert [noise for _, noise in grid] == [f * var_y for f in (0.1, 0.2, 0.3)] * 2
+        for k, (params, _) in enumerate(grid):
+            np.testing.assert_array_equal(params.lengthscales, [0.5, 3.0][k // 3] * base)
+            assert params.variance == 1.0
+
     def test_default_grid_shape(self, small_data):
         grid = gp.default_grid(small_data)
         assert len(grid) == 20

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ssvkit import coalition, explain, kernels, numerics, shapley_prior
+from ssvkit import coalition, explain, gp, kernels, numerics, shapley_prior
+from ssvkit.errors import CountOutOfRange
 from ssvkit.shapley_prior import ExplanationDataset, ShapleyPriorModel
 
 from conftest import fit_synthetic_posterior
@@ -208,3 +209,13 @@ class TestFarthestPointAnchors:
         # anchors are rows of X
         for row in b:
             assert np.any(np.all(np.isclose(X, row), axis=1))
+
+    def test_same_rows_as_farthest_point_inducing(self, rng):
+        X = rng.normal(size=(12, 3))
+        idx = gp.select_inducing(gp.Dataset(X=X, y=np.zeros(12)), 5, "farthest_point")
+        np.testing.assert_array_equal(shapley_prior.farthest_point_anchors(X, 5), X[idx])
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_raises(self, rng, count):
+        with pytest.raises(CountOutOfRange):
+            shapley_prior.farthest_point_anchors(rng.normal(size=(4, 2)), count)
