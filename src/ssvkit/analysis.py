@@ -32,10 +32,11 @@ def folded_mean(mu: float, sigma: float) -> float:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return abs(mu)
-    return float(
-        sigma * np.sqrt(2.0 / np.pi) * np.exp(-mu * mu / (2.0 * sigma * sigma))
-        + mu * (1.0 - 2.0 * ndtr(-mu / sigma))
-    )
+    # past |mu| = 38 sigma the first term is below half an ulp of the second,
+    # and mu^2 / (2 sigma^2) overflows once sigma^2 is denormal: skip it
+    mu_sq, two_var = mu * mu, 2.0 * sigma * sigma
+    spread = 0.0 if mu_sq > 750.0 * two_var else np.exp(-mu_sq / two_var)
+    return float(sigma * np.sqrt(2.0 / np.pi) * spread + mu * (1.0 - 2.0 * ndtr(-mu / sigma)))
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:

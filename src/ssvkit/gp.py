@@ -221,6 +221,11 @@ def default_grid(data: Dataset, ls_multipliers: Sequence[float] = (0.25, 0.5, 1.
                  noise_fractions: Sequence[float] = (1e-3, 1e-2, 1e-1, 1.0)
                  ) -> list[tuple[KernelParams, float]]:
     """Median-heuristic lengthscale multiples crossed with fractions of var(y)."""
+    for name, values in (("ls_multipliers", ls_multipliers),
+                         ("noise_fractions", noise_fractions)):
+        for v in values:
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
     base = kernels.median_heuristic(data.X)
     var_y = float(np.var(data.y)) or 1.0
     return [(KernelParams(variance=1.0, lengthscales=mult * base), frac * var_y)

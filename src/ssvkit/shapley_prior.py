@@ -8,18 +8,23 @@ explanations with uncertainty for unseen inputs, without access to the
 underlying model.
 
 ``fit`` factors every coalition's anchor gram once, in a
-``cme.CoalitionEmbedding`` that the fitted model keeps.  Prediction is
-batched: ``predict_batch`` maps all new inputs through that embedding and
-one solve against the training gram, and does no factorizations;
-``predict`` is its one-input case.
+``cme.CoalitionEmbedding`` that the fitted model keeps.  The kernel
+M(x) K M(x')^T has rank at most m, the anchor count, so fitting is
+Bayesian linear regression on m weights (the weight-space view of
+Rasmussen & Williams, GPML 2.1): with K = L L^T and G = F L stacking the
+training maps, only L and the m x m factor of G^T G + noise*I are
+factored.  Fit costs O(n*d*m^2) and memory O(n*d*m); no (n*d)^2 gram is
+formed, so the number of explanations is not capped.  ``predict_batch``
+maps all new inputs through the embedding, does no factorizations, and
+costs O(d*m^2) per input; ``predict`` is its one-input case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+from scipy import linalg
 
 from . import cme, gp, kernels, numerics
 from .coalition import CoalitionDesign
@@ -27,11 +32,10 @@ from .errors import CountOutOfRange
 from .kernels import KernelParams
 from .numerics import CholeskyFactor
 
-MAX_SYSTEM_SIZE = 4000
-# predict_batch works through the new inputs in blocks whose largest array
-# (cross-kernel rows or projected maps; the embedding weights are streamed
-# in blocks of their own) has at most this many entries, so memory stays
-# bounded however many inputs one call receives.
+# predict_batch works through the new inputs in blocks whose projected maps
+# (d x n_anchors per input; the embedding weights are streamed in blocks of
+# their own) have at most this many entries, so memory stays bounded however
+# many inputs one call receives.
 PREDICT_BLOCK_ENTRIES = 1 << 22
 
 
@@ -63,21 +67,25 @@ class ExplanationDataset:
 
 @dataclass(frozen=True)
 class ShapleyPriorModel:
-    """Fitted multi-output GP over explanation functions.
+    """Fitted multi-output GP over explanation functions, in weight space.
 
-    ``alpha`` holds the dual coefficients in instance-major d-blocks:
-    block a occupies entries [a*d, (a+1)*d).  ``F`` stacks the training
-    inputs' projected maps A.B(x_a) in the same order, so the training
-    gram is ``F K F^T`` with K the full-coalition anchor gram.
+    With the anchor gram K = L L^T (``anchor_factor``), the explanation at x
+    is M(x) L w for weights w ~ N(0, I_m).  ``F`` stacks the training
+    inputs' projected maps M(x_a) = A.B(x_a) in instance-major d-blocks
+    (block a occupies rows [a*d, (a+1)*d)), and with G = F L the weight
+    posterior is N(``weight_mean``, noise * S^-1), S = G^T G + noise*I
+    (``weight_factor``).  ``alpha`` holds the function-space dual
+    coefficients (vec Phi - G w_mean) / noise in the same layout as F.
     """
 
     embedding: cme.CoalitionEmbedding
     noise: float
-    alpha: np.ndarray
+    alpha: np.ndarray                       # n*d
     training_X: np.ndarray
     F: np.ndarray                           # (n*d) x n_anchors
-    anchor_gram: np.ndarray                 # n_anchors x n_anchors
-    gram_factor: Optional[CholeskyFactor]   # of F K F^T + noise*I; None if n == 0
+    anchor_factor: CholeskyFactor           # of K, n_anchors x n_anchors
+    weight_factor: CholeskyFactor           # of G^T G + noise*I, n_anchors x n_anchors
+    weight_mean: np.ndarray                 # n_anchors
 
     @property
     def design(self) -> CoalitionDesign:
@@ -92,72 +100,55 @@ class ShapleyPriorModel:
         return self.design.d
 
 
-def _embedding_map(anchors: np.ndarray, kernel: KernelParams,
-                   design: CoalitionDesign, lam: float, x: np.ndarray) -> np.ndarray:
-    """Projected embedding map M(x) = A B(x), shape d x n_anchors.
-
-    Row products M(x) K M(x')^T realize the explanation kernel.
-    """
-    return cme.coalition_embedding(kernel, anchors, design, lam).projected(x)[0]
-
-
 def kappa(model: ShapleyPriorModel, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Matrix-valued explanation kernel between two inputs, shape d x d."""
-    Mx = model.embedding.projected(x)[0]
-    Mx2 = model.embedding.projected(x2)[0]
-    return Mx @ model.anchor_gram @ Mx2.T
+    L = model.anchor_factor.lower
+    return (model.embedding.projected(x)[0] @ L) @ (model.embedding.projected(x2)[0] @ L).T
 
 
 def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
         design: CoalitionDesign, lam: float, noise: float) -> ShapleyPriorModel:
-    """Fit the multi-output GP: solve (gram + noise*I) alpha = vec(Phi)."""
-    if noise <= 0:
-        raise ValueError("noise must be positive")
+    """Fit the multi-output GP: the posterior of the m anchor weights."""
+    if not (np.isfinite(noise) and noise > 0):
+        raise ValueError(f"noise must be positive and finite, got {noise!r}")
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    n, d = data.n, data.d
-    if n * d > MAX_SYSTEM_SIZE:
-        raise ValueError(
-            f"system size n*d = {n * d} exceeds {MAX_SYSTEM_SIZE}; subsample the "
-            "explanations before fitting"
-        )
+    n, d, m = data.n, data.d, anchors.shape[0]
     full = kernels.FeatureSubset.full(d)
-    K_anchor = kernels.gram(kernel, full, anchors, anchors)
+    anchor_factor = numerics.cholesky_psd(kernels.gram(kernel, full, anchors, anchors))
     embedding = cme.coalition_embedding(kernel, anchors, design, lam)
-    F = embedding.projected(data.X).reshape(n * d, anchors.shape[0])
-    factor, alpha = None, np.zeros(0)
-    if n > 0:
-        gram = numerics.symmetrize(F @ K_anchor @ F.T)
-        factor = numerics.cholesky_psd(gram + noise * np.eye(n * d))
-        alpha = factor.solve(data.Phi.reshape(-1))
+    F = embedding.projected(data.X).reshape(n * d, m)
+    G = F @ anchor_factor.lower
+    y = data.Phi.reshape(-1)
+    weight_factor = numerics.cholesky_psd(G.T @ G + noise * np.eye(m))
+    weight_mean = weight_factor.solve(G.T @ y)
     return ShapleyPriorModel(
-        embedding=embedding, noise=noise, alpha=alpha, training_X=data.X, F=F,
-        anchor_gram=K_anchor, gram_factor=factor,
+        embedding=embedding, noise=noise, alpha=(y - G @ weight_mean) / noise,
+        training_X=data.X, F=F, anchor_factor=anchor_factor,
+        weight_factor=weight_factor, weight_mean=weight_mean,
     )
-
-
-def _predict_block(model: ShapleyPriorModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n_new, d = X.shape[0], model.d
-    n_train_rows, m = model.F.shape
-    M = model.embedding.projected(X)                       # n_new x d x m
-    MK = M @ model.anchor_gram
-    cov = MK @ M.transpose(0, 2, 1)                        # prior kappa(x, x)
-    if model.n == 0:
-        return np.zeros((n_new, d)), cov
-    cross = MK.reshape(n_new * d, m) @ model.F.T           # kappa(x, X_train) rows
-    means = (cross @ model.alpha).reshape(n_new, d)
-    solved = model.gram_factor.solve(cross.T).T.reshape(n_new, d, n_train_rows)
-    cov = cov - cross.reshape(n_new, d, n_train_rows) @ solved.transpose(0, 2, 1)
-    return means, numerics.symmetrize(cov)
 
 
 def predict_batch(model: ShapleyPriorModel,
                   X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive means (n x d) and covariances (n x d x d) at new inputs."""
+    """Predictive means (n x d) and covariances (n x d x d) at new inputs.
+
+    mean(x) = M(x) L w_mean and cov(x) = noise * M(x) L S^-1 L^T M(x)^T,
+    written as P P^T with P = M(x) C^T and C = sqrt(noise) * R^-1 L^T for
+    S = R R^T, so every covariance is a gram matrix.
+    """
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    per_input = model.d * max(model.F.shape)
-    step = max(1, PREDICT_BLOCK_ENTRIES // per_input)
-    means, covs = zip(*(_predict_block(model, X_new[lo:lo + step])
-                        for lo in range(0, max(X_new.shape[0], 1), step)))
+    L = model.anchor_factor.lower
+    m = L.shape[0]
+    mean_map = L @ model.weight_mean
+    C_T = np.sqrt(model.noise) * linalg.solve_triangular(
+        model.weight_factor.lower, L.T, lower=True).T
+    step = max(1, PREDICT_BLOCK_ENTRIES // (model.d * m))
+    means, covs = [], []
+    for lo in range(0, max(X_new.shape[0], 1), step):
+        M = model.embedding.projected(X_new[lo:lo + step])    # n_block x d x m
+        P = (M.reshape(-1, m) @ C_T).reshape(M.shape)
+        means.append(M @ mean_map)
+        covs.append(numerics.symmetrize(P @ P.transpose(0, 2, 1)))
     return np.concatenate(means), np.concatenate(covs)
 
 
@@ -170,13 +161,10 @@ def predict(model: ShapleyPriorModel, x_new: np.ndarray) -> tuple[np.ndarray, np
 def induced_payoff(model: ShapleyPriorModel, x_new: np.ndarray) -> np.ndarray:
     """Payoff vector whose projection under A is the predictive mean.
 
-    v_tilde = B(x_new) K * sum_a B(x_a)^T A^T alpha_a, so
-    A @ v_tilde == predict(model, x_new)[0].
+    v_tilde = B(x_new) L w_mean, so A @ v_tilde == predict(model, x_new)[0].
     """
-    if model.n == 0:
-        return np.zeros(model.design.n_coalitions)
     B_new = model.embedding.weights(x_new)[:, :, 0]        # ell x n_anchors
-    return B_new @ model.anchor_gram @ (model.F.T @ model.alpha)
+    return B_new @ (model.anchor_factor.lower @ model.weight_mean)
 
 
 def farthest_point_anchors(X: np.ndarray, count: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ class TestFoldedMean:
     def test_large_mu_limit(self):
         # far from the fold, E|X| ~ mu
         assert analysis.folded_mean(50.0, 1.0) == pytest.approx(50.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mu", [1.0, -2.5])
+    def test_denormal_variance_is_silent_and_exact(self, mu):
+        # sigma^2 = 4.3e-316 makes mu^2 / (2 sigma^2) overflow; exp(-inf) = 0
+        # leaves |mu|, and no RuntimeWarning may reach the caller
+        sigma = np.sqrt(np.float64(4.3e-316))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analysis.folded_mean(np.float64(mu), sigma) == abs(mu)
 
     def test_matches_monte_carlo(self, rng):
         for mu in (-2.0, -1.0, 0.0, 1.0, 2.0):

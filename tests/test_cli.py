@@ -293,12 +293,24 @@ class TestInputBoundary:
         ({"bad.csv": '{"X": [0.0, 1.0], "means": [[0.0], [1.0]]}'}, PREDICT, "'X'"),
         ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "0"], "anchor count"),
         ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "-3"], "anchor count"),
+        ({"bad.csv": THREE_ROWS}, PREDICT + ["--noise", "inf"],
+         "noise must be positive and finite, got inf"),
+        ({"bad.csv": THREE_ROWS}, PREDICT + ["--noise", "nan"],
+         "noise must be positive and finite, got nan"),
+        ({}, ["fit", "--data", "train.csv", "--target", "target", "--noise-fractions", "-1"],
+         "noise_fractions must be positive and finite, got -1.0"),
+        ({}, ["fit", "--data", "train.csv", "--target", "target", "--noise-fractions", "nan"],
+         "noise_fractions must be positive and finite, got nan"),
+        ({}, ["fit", "--data", "train.csv", "--target", "target", "--ls-multipliers", "1,0"],
+         "ls_multipliers must be positive and finite, got 0.0"),
     ], ids=["fit-inducing-0", "fit-one-row", "lam-negative", "lam-0", "lam-nan",
             "ell0-nan", "ell0-sigma0-negative", "ell0-below-minus-ell", "sigma0-inf",
             "coalitions-above-2^d", "output-dir-missing", "sparsity-1.5", "prefix-dir-missing",
             "posterior-list", "analyze-cov-1x1", "analyze-means-1d", "analyze-list",
             "analyze-names-short", "analyze-X-rows", "wide-short-row", "wide-x_a",
-            "wide-text-column", "predict-X-1d", "anchors-0", "anchors-negative"])
+            "wide-text-column", "predict-X-1d", "anchors-0", "anchors-negative",
+            "noise-inf", "noise-nan", "noise-fractions-negative", "noise-fractions-nan",
+            "ls-multipliers-0"])
     def test_bad_input_exits_2(self, explained, tmp_path, files, args, where):
         for name in ("train.csv", "instances.csv", "posterior.json", "expl.json"):
             shutil.copy(explained / name, tmp_path)

@@ -85,9 +85,6 @@ class TestCoalitionEmbedding:
         for k, x in enumerate(X_new):
             np.testing.assert_allclose(
                 M[k], reference_map(anchors, kernel, design, lam, x), atol=1e-12)
-            np.testing.assert_allclose(
-                M[k], shapley_prior._embedding_map(anchors, kernel, design, lam, x),
-                atol=1e-12)
 
     def test_embedding_batch_equals_retained_factors(self, rng):
         # explain's one-pass weights and the prior's kept factors agree exactly
@@ -152,7 +149,7 @@ class TestBatchedPrior:
         count_cholesky.clear()  # building the design factors its own system
         model = shapley_prior.fit(ExplanationDataset(X=X, Phi=Phi), anchors, kernel,
                                   design, lam, noise)
-        assert len(count_cholesky) == 2 ** 3 + 1
+        assert len(count_cholesky) == 2 ** 3 + 2  # the coalitions, K_anchor and S
         count_cholesky.clear()
         shapley_prior.predict_batch(model, X_new)
         shapley_prior.induced_payoff(model, X_new[0])

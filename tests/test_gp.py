@@ -223,6 +223,16 @@ class TestSelectHyperparameters:
             np.testing.assert_array_equal(params.lengthscales, [0.5, 3.0][k // 3] * base)
             assert params.variance == 1.0
 
+    @pytest.mark.parametrize("ls,noise,message", [
+        ([1.0, 0.0], [0.1], "ls_multipliers must be positive and finite, got 0.0"),
+        ([np.inf], [0.1], "ls_multipliers must be positive and finite, got inf"),
+        ([1.0], [-1.0], "noise_fractions must be positive and finite, got -1.0"),
+        ([1.0], [0.1, np.nan], "noise_fractions must be positive and finite, got nan"),
+    ])
+    def test_default_grid_rejects_bad_values(self, small_data, ls, noise, message):
+        with pytest.raises(ValueError, match=message):
+            gp.default_grid(small_data, ls, noise)
+
     def test_default_grid_shape(self, small_data):
         grid = gp.default_grid(small_data)
         assert len(grid) == 20

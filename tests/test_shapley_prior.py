@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ssvkit import coalition, explain, gp, kernels, numerics, shapley_prior
+from ssvkit import cme, coalition, explain, gp, kernels, numerics, shapley_prior
 from ssvkit.errors import CountOutOfRange
 from ssvkit.shapley_prior import ExplanationDataset, ShapleyPriorModel
 
@@ -60,13 +62,10 @@ class TestFitPredict:
         design = coalition.enumerate_coalitions(d)
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(d))
         lam = 1e-3 * n
-        maps = [
-            shapley_prior._embedding_map(X, params, design, lam, X[a])
-            for a in range(n)
-        ]
+        maps = cme.coalition_embedding(params, X, design, lam).projected(X)
         K = kernels.gram(params, kernels.FeatureSubset.full(d), X, X)
         w = rng.normal(size=n)
-        Phi = np.vstack([m @ K @ w for m in maps])
+        Phi = maps @ (K @ w)
         model = shapley_prior.fit(
             ExplanationDataset(X=X, Phi=Phi), X, params, design, lam=lam, noise=1e-10
         )
@@ -103,15 +102,25 @@ class TestFitPredict:
         np.testing.assert_array_equal(mean, np.zeros(2))
         np.testing.assert_allclose(cov, shapley_prior.kappa(model, x, x), atol=1e-12)
 
-    def test_system_size_cap(self, rng):
+    def test_fits_past_the_removed_size_cap(self, rng):
+        # n*d = 4,002 was refused when fit formed the (n*d)^2 gram (128 MB);
+        # the weight-space fit holds only (n*d) x n_anchors arrays
         X = rng.normal(size=(2001, 2))
         design = coalition.enumerate_coalitions(2)
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(2))
-        with pytest.raises(ValueError):
-            shapley_prior.fit(
-                ExplanationDataset(X=X, Phi=np.zeros_like(X)),
+        tracemalloc.start()
+        try:
+            model = shapley_prior.fit(
+                ExplanationDataset(X=X, Phi=rng.normal(size=X.shape)),
                 X[:5], params, design, lam=1e-2, noise=1e-2,
             )
+            means, covs = shapley_prior.predict_batch(model, rng.normal(size=(50, 2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert np.all(np.isfinite(means)) and np.all(np.isfinite(covs))
+        assert all(numerics.is_psd(c) for c in covs)
 
     def test_noise_must_be_positive(self, rng):
         X = rng.normal(size=(3, 2))
@@ -143,6 +152,64 @@ class TestFitPredict:
             shapley_prior.predict(m1, x)[0], shapley_prior.predict(m2, x)[0],
             atol=1e-8,
         )
+
+
+def dense_reference(X, Phi, anchors, kernel, design, lam, noise, X_new):
+    """Function-space prior: solve against the (n*d)^2 gram F K F^T + noise*I.
+
+    Returns the dual vector, the predictive means and covariances at X_new
+    and the induced payoffs B(x) K F^T alpha.
+    """
+    n, d = X.shape
+    emb = cme.coalition_embedding(kernel, anchors, design, lam)
+    K = kernels.gram(kernel, kernels.FeatureSubset.full(d), anchors, anchors)
+    F = emb.projected(X).reshape(n * d, anchors.shape[0])
+    gram = F @ K @ F.T + noise * np.eye(n * d)
+    alpha = np.linalg.solve(gram, Phi.reshape(-1)) if n else np.zeros(0)
+    M = emb.projected(X_new)
+    cross = M @ K @ F.T                                     # n_new x d x (n*d)
+    means = cross @ alpha
+    covs = M @ K @ M.transpose(0, 2, 1)
+    if n:
+        covs = covs - cross @ np.linalg.solve(gram, cross.transpose(0, 2, 1))
+    payoffs = np.einsum("jik,i->kj", emb.weights(X_new), K @ F.T @ alpha)
+    return alpha, means, covs, payoffs
+
+
+def assert_relative(actual, expected, rtol=1e-10):
+    """Entrywise agreement relative to the largest entry of ``expected``."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected), initial=0.0) <= rtol * np.max(
+        np.abs(expected), initial=0.0)
+
+
+class TestWeightSpaceMatchesFunctionSpace:
+    @pytest.mark.parametrize("n,n_anchor,copies", [
+        (12, 8, 1),      # distinct anchors
+        (0, 6, 1),       # empty dataset: the prior itself
+        (10, 5, 10),     # 50 anchors, 5 distinct: K_anchor is singular
+    ], ids=["distinct", "empty", "duplicate-anchors"])
+    def test_fit_predict_and_payoff(self, rng, n, n_anchor, copies):
+        d = 3
+        X = rng.normal(size=(max(n, n_anchor), d))
+        Phi = rng.normal(size=(n, d))
+        anchors = np.tile(X[:n_anchor], (copies, 1))
+        X = X[:n]
+        design = coalition.enumerate_coalitions(d)
+        kernel = kernels.KernelParams(variance=1.0, lengthscales=np.ones(d))
+        lam, noise = 1e-3 * anchors.shape[0], 1e-2
+        X_new = rng.normal(size=(7, d))
+        model = shapley_prior.fit(ExplanationDataset(X=X, Phi=Phi), anchors, kernel,
+                                  design, lam, noise)
+        assert (model.anchor_factor.jitter_used > 0) == (copies > 1)
+        alpha, means, covs, payoffs = dense_reference(X, Phi, anchors, kernel, design,
+                                                      lam, noise, X_new)
+        got_means, got_covs = shapley_prior.predict_batch(model, X_new)
+        assert_relative(model.alpha, alpha)
+        assert_relative(got_means, means)
+        assert_relative(got_covs, covs)
+        assert_relative(np.array([shapley_prior.induced_payoff(model, x) for x in X_new]),
+                        payoffs)
 
 
 class TestInducedPayoff:
