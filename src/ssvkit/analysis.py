@@ -17,6 +17,8 @@ from scipy.special import ndtr
 from . import numerics
 from .explain import ExplanationBatch
 
+SMALLEST_NORMAL = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class GlobalImportance:
@@ -35,7 +37,12 @@ def folded_mean(mu: float, sigma: float) -> float:
     # past |mu| = 38 sigma the first term is below half an ulp of the second,
     # and mu^2 / (2 sigma^2) overflows once sigma^2 is denormal: skip it
     mu_sq, two_var = mu * mu, 2.0 * sigma * sigma
-    spread = 0.0 if mu_sq > 750.0 * two_var else np.exp(-mu_sq / two_var)
+    if mu_sq > 750.0 * two_var:
+        spread = 0.0
+    elif two_var < SMALLEST_NORMAL:  # sigma^2 underflows: divide before squaring
+        spread = np.exp(-(mu / sigma) ** 2 / 2.0)
+    else:
+        spread = np.exp(-mu_sq / two_var)
     return float(sigma * np.sqrt(2.0 / np.pi) * spread + mu * (1.0 - 2.0 * ndtr(-mu / sigma)))
 
 

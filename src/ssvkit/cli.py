@@ -19,7 +19,7 @@ import click
 import numpy as np
 from scipy.special import ndtri
 
-from . import analysis, cme, coalition, explain, gp, kernels, shapley_prior
+from . import analysis, cme, coalition, explain, gp, kernels, numerics, shapley_prior
 from .errors import SsvkitError
 
 
@@ -246,7 +246,8 @@ def _load_explanations(path: str, need: str):
 
     ``means`` must be an n x d matrix, ``X`` n x d and ``cov`` n x d x d
     (each checked when present, required when named by ``need``) and all
-    finite; ``feature_names`` must list d names.  Absent parts are None.
+    finite, with symmetric ``cov`` blocks (1e-8 relative) and no negative
+    variance; ``feature_names`` must list d names.  Absent parts are None.
     """
     with open(path, newline="") as fh:
         text = fh.read()
@@ -263,6 +264,14 @@ def _load_explanations(path: str, need: str):
     n, d = means.shape
     X, cov = (_json_array(doc, key, path, shape) if key in doc or key == need else None
               for key, shape in (("X", (n, d)), ("cov", (n, d, d))))
+    if cov is not None:
+        scale = np.max(np.abs(cov), axis=(1, 2))
+        asymmetric = np.max(np.abs(cov - cov.transpose(0, 2, 1)), axis=(1, 2)) > 1e-8 * scale
+        negative = np.any(np.diagonal(cov, axis1=1, axis2=2) < 0, axis=1)
+        bad = np.flatnonzero(asymmetric | negative)
+        if bad.size:
+            what = "is not symmetric" if asymmetric[bad[0]] else "has a negative variance"
+            raise ValueError(f"'cov' of instance {bad[0]} in {path} {what}")
     names = doc.get("feature_names")
     if names is not None and not (isinstance(names, list) and len(names) == d
                                   and all(isinstance(s, str) for s in names)):
@@ -322,6 +331,9 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
     if not 0 <= instance < n:
         raise ValueError(f"--instance {instance} is out of range: {expl_path} holds "
                          f"{n} instances")
+    if not numerics.is_psd(cov[instance], tol_jitter=1e-8):
+        raise ValueError(f"'cov' of instance {instance} in {expl_path} is not positive "
+                         "semi-definite within a jitter of 1e-8")
     names = names or [f"x_{i + 1}" for i in range(d)]
     sds = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
     imp = analysis.importance(means, sds)

@@ -129,7 +129,6 @@ class CoalitionEmbedding:
     kernel: KernelParams
     rows: np.ndarray                        # m x d
     design: CoalitionDesign
-    lam: float
     factors: tuple[CholeskyFactor, ...]
 
     def weights(self, X: np.ndarray) -> np.ndarray:
@@ -147,8 +146,7 @@ def coalition_embedding(kernel: KernelParams, rows: np.ndarray, design: Coalitio
     """Factor K_S + lambda*I once for every coalition of ``design``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     factors = tuple(_coalition_factor(kernel, c, rows, lam) for c in design.coalitions)
-    return CoalitionEmbedding(kernel=kernel, rows=rows, design=design, lam=lam,
-                              factors=factors)
+    return CoalitionEmbedding(kernel=kernel, rows=rows, design=design, factors=factors)
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,6 @@ class EmbeddingWeights:
     """Per-coalition CME weights, one column per explained instance."""
 
     coalition: FeatureSubset
-    lam: float
     weights: np.ndarray  # n_inducing x n_instances
 
 
@@ -177,11 +174,6 @@ class EmbeddingBatch:
     def n_inducing(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def per_coalition(self) -> tuple[EmbeddingWeights, ...]:
-        return tuple(EmbeddingWeights(coalition=c, lam=self.lam, weights=w)
-                     for c, w in zip(self.design.coalitions, self.weights))
-
     def tensor(self) -> np.ndarray:
         """Stacked weights, shape (n_coalitions, n_inducing, n_instances)."""
         return self.weights
@@ -193,7 +185,7 @@ def embedding_weights(posterior: GPPosterior, subset: FeatureSubset,
     Xi = posterior.inducing_points
     factor = _coalition_factor(posterior.kernel, subset, Xi, lam)
     weights = _solve_all(posterior.kernel, Xi, (subset,), (factor,), X_explain)[0]
-    return EmbeddingWeights(coalition=subset, lam=lam, weights=weights)
+    return EmbeddingWeights(coalition=subset, weights=weights)
 
 
 def _one_batch(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarray,

@@ -9,7 +9,6 @@ the covariance matrix of a stochastic game.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -72,20 +71,6 @@ class CoalitionDesign:
     def digest(self) -> str:
         masks = ",".join(str(c.mask) for c in self.coalitions)
         return f"d={self.d};masks={masks}"
-
-    def to_json(self) -> str:
-        doc = {
-            "d": self.d,
-            "masks": [c.mask for c in self.coalitions],
-            "weights": self.weights.tolist(),
-            "A": self.A.tolist(),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoalitionDesign":
-        doc = json.loads(text)
-        return _design_from_masks(int(doc["d"]), [int(m) for m in doc["masks"]])
 
 
 @dataclass(frozen=True)

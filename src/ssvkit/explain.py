@@ -92,15 +92,14 @@ class ExplanationBatch:
              for k in range(self.n_instances)]
         )
 
-    def to_json(self, include_cov: bool = True) -> str:
+    def to_json(self) -> str:
         names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
         doc = {
             "feature_names": names,
             "means": self.means.tolist(),
             "design_digest": self.design.digest(),
+            "cov": [self.covariance(k).tolist() for k in range(self.n_instances)],
         }
-        if include_cov:
-            doc["cov"] = [self.covariance(k).tolist() for k in range(self.n_instances)]
         if self.sigma2_samples is not None:
             doc["sigma2"] = self.sigma2_samples.tolist()
         return json.dumps(doc, indent=2, sort_keys=True)

@@ -107,7 +107,7 @@ class GPPosterior:
     @classmethod
     def from_json(cls, text: str) -> "GPPosterior":
         doc = json.loads(text)
-        return cls(
+        posterior = cls(
             inducing_points=np.asarray(doc["inducing_points"], dtype=float),
             mean_at_inducing=np.asarray(doc["mean_at_inducing"], dtype=float),
             cov_at_inducing=np.asarray(doc["cov_at_inducing"], dtype=float),
@@ -117,6 +117,9 @@ class GPPosterior:
             ),
             noise=float(doc["noise"]),
         )
+        if not numerics.is_psd(posterior.cov_at_inducing, tol_jitter=1e-8):  # as in gpshap
+            raise ValueError("posterior covariance is not positive semi-definite within 1e-8")
+        return posterior
 
 
 def select_inducing(data: Dataset, count: int, strategy: str = "all",

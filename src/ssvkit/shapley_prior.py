@@ -13,10 +13,10 @@ M(x) K M(x')^T has rank at most m, the anchor count, so fitting is
 Bayesian linear regression on m weights (the weight-space view of
 Rasmussen & Williams, GPML 2.1): with K = L L^T and G = F L stacking the
 training maps, only L and the m x m factor of G^T G + noise*I are
-factored.  Fit costs O(n*d*m^2) and memory O(n*d*m); no (n*d)^2 gram is
-formed, so the number of explanations is not capped.  ``predict_batch``
-maps all new inputs through the embedding, does no factorizations, and
-costs O(d*m^2) per input; ``predict`` is its one-input case.
+factored.  Fit costs O(n*d*m^2) time and O(n*d*m) transient memory; no
+(n*d)^2 gram is formed, so the number of explanations is not capped.
+``predict_batch`` needs no factorization or solve and costs O(d*m^2) per
+input; ``predict`` is its one-input case.
 """
 
 from __future__ import annotations
@@ -70,34 +70,18 @@ class ShapleyPriorModel:
     """Fitted multi-output GP over explanation functions, in weight space.
 
     With the anchor gram K = L L^T (``anchor_factor``), the explanation at x
-    is M(x) L w for weights w ~ N(0, I_m).  ``F`` stacks the training
-    inputs' projected maps M(x_a) = A.B(x_a) in instance-major d-blocks
-    (block a occupies rows [a*d, (a+1)*d)), and with G = F L the weight
-    posterior is N(``weight_mean``, noise * S^-1), S = G^T G + noise*I
-    (``weight_factor``).  ``alpha`` holds the function-space dual
-    coefficients (vec Phi - G w_mean) / noise in the same layout as F.
+    is M(x) L w for weights w ~ N(0, I_m), where M(x) = A.B(x) is the
+    projected map of ``embedding``.  Given the training explanations the
+    weights are N(w_mean, noise * S^-1) with S = G^T G + noise*I = R R^T,
+    so the predictive mean is M(x) ``mean_map`` (mean_map = L w_mean) and
+    the predictive covariance is P P^T with P = M(x) ``cov_root``
+    (cov_root = sqrt(noise) * (R^-1 L^T)^T).
     """
 
     embedding: cme.CoalitionEmbedding
-    noise: float
-    alpha: np.ndarray                       # n*d
-    training_X: np.ndarray
-    F: np.ndarray                           # (n*d) x n_anchors
     anchor_factor: CholeskyFactor           # of K, n_anchors x n_anchors
-    weight_factor: CholeskyFactor           # of G^T G + noise*I, n_anchors x n_anchors
-    weight_mean: np.ndarray                 # n_anchors
-
-    @property
-    def design(self) -> CoalitionDesign:
-        return self.embedding.design
-
-    @property
-    def n(self) -> int:
-        return self.training_X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.design.d
+    mean_map: np.ndarray                    # n_anchors
+    cov_root: np.ndarray                    # n_anchors x n_anchors
 
 
 def kappa(model: ShapleyPriorModel, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -115,17 +99,17 @@ def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
     n, d, m = data.n, data.d, anchors.shape[0]
     full = kernels.FeatureSubset.full(d)
     anchor_factor = numerics.cholesky_psd(kernels.gram(kernel, full, anchors, anchors))
+    L = anchor_factor.lower
     embedding = cme.coalition_embedding(kernel, anchors, design, lam)
     F = embedding.projected(data.X).reshape(n * d, m)
-    G = F @ anchor_factor.lower
+    G = F @ L
     y = data.Phi.reshape(-1)
     weight_factor = numerics.cholesky_psd(G.T @ G + noise * np.eye(m))
     weight_mean = weight_factor.solve(G.T @ y)
-    return ShapleyPriorModel(
-        embedding=embedding, noise=noise, alpha=(y - G @ weight_mean) / noise,
-        training_X=data.X, F=F, anchor_factor=anchor_factor,
-        weight_factor=weight_factor, weight_mean=weight_mean,
-    )
+    cov_root = np.sqrt(noise) * linalg.solve_triangular(
+        weight_factor.lower, L.T, lower=True).T
+    return ShapleyPriorModel(embedding=embedding, anchor_factor=anchor_factor,
+                             mean_map=L @ weight_mean, cov_root=cov_root)
 
 
 def predict_batch(model: ShapleyPriorModel,
@@ -133,21 +117,17 @@ def predict_batch(model: ShapleyPriorModel,
     """Predictive means (n x d) and covariances (n x d x d) at new inputs.
 
     mean(x) = M(x) L w_mean and cov(x) = noise * M(x) L S^-1 L^T M(x)^T,
-    written as P P^T with P = M(x) C^T and C = sqrt(noise) * R^-1 L^T for
-    S = R R^T, so every covariance is a gram matrix.
+    written as P P^T with P = M(x) cov_root, so every covariance is a gram
+    matrix.
     """
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    L = model.anchor_factor.lower
-    m = L.shape[0]
-    mean_map = L @ model.weight_mean
-    C_T = np.sqrt(model.noise) * linalg.solve_triangular(
-        model.weight_factor.lower, L.T, lower=True).T
-    step = max(1, PREDICT_BLOCK_ENTRIES // (model.d * m))
+    m = model.mean_map.shape[0]
+    step = max(1, PREDICT_BLOCK_ENTRIES // (model.embedding.design.d * m))
     means, covs = [], []
     for lo in range(0, max(X_new.shape[0], 1), step):
         M = model.embedding.projected(X_new[lo:lo + step])    # n_block x d x m
-        P = (M.reshape(-1, m) @ C_T).reshape(M.shape)
-        means.append(M @ mean_map)
+        P = (M.reshape(-1, m) @ model.cov_root).reshape(M.shape)
+        means.append(M @ model.mean_map)
         covs.append(numerics.symmetrize(P @ P.transpose(0, 2, 1)))
     return np.concatenate(means), np.concatenate(covs)
 
@@ -164,7 +144,7 @@ def induced_payoff(model: ShapleyPriorModel, x_new: np.ndarray) -> np.ndarray:
     v_tilde = B(x_new) L w_mean, so A @ v_tilde == predict(model, x_new)[0].
     """
     B_new = model.embedding.weights(x_new)[:, :, 0]        # ell x n_anchors
-    return B_new @ (model.anchor_factor.lower @ model.weight_mean)
+    return B_new @ model.mean_map
 
 
 def farthest_point_anchors(X: np.ndarray, count: int) -> np.ndarray:

@@ -1,7 +1,24 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from ssvkit import gp, kernels, numerics
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(argv, cwd):
+    """Run ``python argv`` in ``cwd`` with this checkout's package importable."""
+    # the child runs in cwd, so the package path must be absolute
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
 
 
 @pytest.fixture

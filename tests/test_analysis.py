@@ -49,6 +49,20 @@ class TestFoldedMean:
             warnings.simplefilter("error")
             assert analysis.folded_mean(np.float64(mu), sigma) == abs(mu)
 
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    @pytest.mark.parametrize("mu", [0.0, 1e-170])
+    def test_underflowing_variance_is_silent_and_scale_free(self, scalar, mu):
+        # sigma^2 underflows to 0, so mu^2 / (2 sigma^2) would be 0/0;
+        # E|N(mu, sigma^2)| = sigma * E|N(mu / sigma, 1)| still holds
+        sigma = 1e-170
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analysis.folded_mean(scalar(mu), scalar(sigma))
+        expected = sigma * analysis.folded_mean(mu / sigma, 1.0)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+        if mu == 0.0:
+            assert got == sigma * np.sqrt(2.0 / np.pi)
+
     def test_matches_monte_carlo(self, rng):
         for mu in (-2.0, -1.0, 0.0, 1.0, 2.0):
             for sigma in (0.5, 1.0, 2.0):

@@ -1,25 +1,12 @@
 import json
-import os
 import shutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from ssvkit import errors
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def run_python(argv, cwd):
-    # the child runs in cwd, so the package path must be absolute
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *argv],
-        cwd=cwd, env=env, capture_output=True, text=True,
-    )
+from conftest import run_python
 
 
 def run_cli(args, cwd):
@@ -287,6 +274,16 @@ class TestInputBoundary:
          ANALYZE, "'feature_names'"),
         ({"bad.json": {"means": [[1.0, 2.0]], "cov": COV_2, "X": [[0.0, 1.0], [2.0, 3.0]]}},
          ANALYZE, "'X'"),
+        ({"bad.json": {"means": [[1.0, 2.0]] * 2, "cov": COV_2 + [[[1.0, 0.5], [0.0, 1.0]]]}},
+         ANALYZE, "'cov' of instance 1 in bad.json is not symmetric"),
+        ({"bad.json": {"means": [[1.0, 2.0]], "cov": [[[1.0, 0.0], [0.0, -1e-3]]]}},
+         ANALYZE, "'cov' of instance 0 in bad.json has a negative variance"),
+        ({"bad.json": {"means": [[1.0, 2.0]] * 2, "cov": COV_2 + [[[1.0, 2.0], [2.0, 1.0]]]}},
+         ANALYZE + ["--instance", "1"],
+         "'cov' of instance 1 in bad.json is not positive semi-definite"),
+        ({"bad.csv": '{"X": [[0.0], [1.0]], "means": [[0.0], [1.0]], '
+                     '"cov": [[[1.0]], [[-1.0]]]}'},
+         PREDICT, "'cov' of instance 1 in bad.csv has a negative variance"),
         ({"bad.csv": "x_1,phi_1\n0.0,0.0\n1.0\n"}, PREDICT, "row 3"),
         ({"bad.csv": "x_a,phi_1\n0.0,0.0\n1.0,1.0\n"}, PREDICT, "'x_a'"),
         ({"bad.csv": "x_1,phi_1,note\n0.0,0.0,first\n1.0,1.0,second\n"}, PREDICT, "'note'"),
@@ -307,7 +304,9 @@ class TestInputBoundary:
             "ell0-nan", "ell0-sigma0-negative", "ell0-below-minus-ell", "sigma0-inf",
             "coalitions-above-2^d", "output-dir-missing", "sparsity-1.5", "prefix-dir-missing",
             "posterior-list", "analyze-cov-1x1", "analyze-means-1d", "analyze-list",
-            "analyze-names-short", "analyze-X-rows", "wide-short-row", "wide-x_a",
+            "analyze-names-short", "analyze-X-rows", "analyze-cov-asymmetric",
+            "analyze-cov-negative-variance", "analyze-cov-not-psd", "predict-cov-negative",
+            "wide-short-row", "wide-x_a",
             "wide-text-column", "predict-X-1d", "anchors-0", "anchors-negative",
             "noise-inf", "noise-nan", "noise-fractions-negative", "noise-fractions-nan",
             "ls-multipliers-0"])
@@ -321,6 +320,17 @@ class TestInputBoundary:
         res = run_cli(args, tmp_path)
         assert_one_line_input_error(res)
         assert where in res.stderr
+
+    def test_posterior_covariance_not_psd_exits_2(self, explained, tmp_path):
+        # symmetric with a unit diagonal, but its eigenvalues include -1
+        doc = json.loads((explained / "posterior.json").read_text())
+        m = len(doc["cov_at_inducing"])
+        doc["cov_at_inducing"] = (2.0 * np.ones((m, m)) - np.eye(m)).tolist()
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        res = run_cli(["explain", "--posterior", "bad.json",
+                       "--instances", str(explained / "instances.csv")], tmp_path)
+        assert_one_line_input_error(res)
+        assert "bad.json" in res.stderr and "positive semi-definite" in res.stderr
 
     def test_posterior_kernel_not_an_object_exits_2(self, explained, tmp_path):
         doc = json.loads((explained / "posterior.json").read_text())

@@ -65,8 +65,9 @@ class TestEmbeddingBatch:
         B = batch.tensor()
         assert B.shape == (8, post.n_inducing, 5)
         assert batch.lam == pytest.approx(cme.default_lambda(post.n_inducing))
-        for j, w in enumerate(batch.per_coalition):
-            assert w.coalition == design.coalitions[j]
+        for j, subset in enumerate(design.coalitions):
+            w = cme.embedding_weights(post, subset, data.X[:5], batch.lam)
+            np.testing.assert_array_equal(B[j], w.weights)
 
     def test_feature_count_mismatch(self, posterior):
         post, data = posterior

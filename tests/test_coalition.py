@@ -1,4 +1,3 @@
-import json
 from math import comb
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from ssvkit import coalition
 from ssvkit.coalition import (
-    CoalitionDesign,
     StochasticGame,
     build_projection,
     enumerate_coalitions,
@@ -136,13 +134,6 @@ class TestDesignConstruction:
             )
         )
         assert total == pytest.approx(expected)
-
-    def test_json_roundtrip(self):
-        design = sample_coalitions(5, 12, seed=1)
-        restored = CoalitionDesign.from_json(design.to_json())
-        assert restored.digest() == design.digest()
-        np.testing.assert_allclose(restored.A, design.A, atol=1e-14)
-        np.testing.assert_allclose(restored.weights, design.weights)
 
     def test_digest_distinguishes_designs(self):
         assert (
@@ -275,12 +266,3 @@ class TestVarianceGameSeparation:
         assert ssv_cov[0, 0] == pytest.approx(1.5, abs=1e-12)
         np.testing.assert_allclose(var_shap, [1.0, 1.0], atol=1e-12)
         assert np.max(np.abs(np.diag(ssv_cov) - var_shap)) > 0.1
-
-
-class TestSerialization:
-    def test_to_json_is_valid_sorted_json(self):
-        design = enumerate_coalitions(3)
-        doc = json.loads(design.to_json())
-        assert doc["d"] == 3
-        assert len(doc["masks"]) == 8
-        assert design.to_json() == design.to_json()

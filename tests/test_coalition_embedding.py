@@ -133,17 +133,6 @@ class TestBatchedPrior:
         for a, b in zip(whole, blocked):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
-    def test_training_maps_are_stacked_instance_major(self, rng):
-        X, Phi, anchors, kernel, design, lam, noise, _ = prior_problem(rng)
-        model = shapley_prior.fit(ExplanationDataset(X=X, Phi=Phi), anchors, kernel,
-                                  design, lam, noise)
-        d = design.d
-        assert model.F.shape == (X.shape[0] * d, anchors.shape[0])
-        for a in range(X.shape[0]):
-            np.testing.assert_allclose(
-                model.F[a * d:(a + 1) * d],
-                reference_map(anchors, kernel, design, lam, X[a]), atol=1e-12)
-
     def test_fit_factors_once_and_predict_never(self, rng, count_cholesky):
         X, Phi, anchors, kernel, design, lam, noise, X_new = prior_problem(rng, d=3)
         count_cholesky.clear()  # building the design factors its own system

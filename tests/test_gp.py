@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,21 @@ class TestPosteriorValidation:
     def test_malformed_posterior_is_rejected(self, post, fields):
         with pytest.raises(ValueError):
             self.rebuild(post, **fields)
+
+    @pytest.mark.parametrize("cov,accepted", [
+        ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),
+        (np.diag([1.0, -1e-6, 1.0]), False),        # needs a jitter above 1e-8
+        (np.diag([1.0, -1e-10, 1.0]), True),        # factors within gpshap's 1e-8 jitter
+        (np.zeros((3, 3)), True),
+    ], ids=["indefinite", "negative-1e-6", "negative-1e-10", "zero"])
+    def test_loaded_covariance_must_be_psd_within_1e_8(self, post, cov, accepted):
+        doc = json.loads(post.to_json())
+        doc["cov_at_inducing"] = np.asarray(cov).tolist()
+        if accepted:
+            gp.GPPosterior.from_json(json.dumps(doc))
+        else:
+            with pytest.raises(ValueError, match="positive semi-definite"):
+                gp.GPPosterior.from_json(json.dumps(doc))
 
     def test_symmetry_is_relative_to_the_largest_entry(self, post):
         cov = post.cov_at_inducing * 1e6

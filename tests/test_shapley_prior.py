@@ -131,8 +131,8 @@ class TestFitPredict:
                 ExplanationDataset(X=X, Phi=X), X, params, design, lam=1e-2, noise=0.0
             )
 
-    def test_alpha_layout_is_instance_major(self, rng):
-        # permuting the training instances permutes the d-sized alpha blocks
+    def test_predictions_are_permutation_invariant(self, rng):
+        # permuting the training instances leaves the predictions unchanged
         X = rng.normal(size=(4, 2))
         Phi = rng.normal(size=(4, 2))
         design = coalition.enumerate_coalitions(2)
@@ -143,10 +143,6 @@ class TestFitPredict:
         perm = np.array([2, 0, 3, 1])
         m2 = shapley_prior.fit(ExplanationDataset(X=X[perm], Phi=Phi[perm]), anchors,
                                params, design, lam=6e-3, noise=1e-2)
-        a1 = m1.alpha.reshape(4, 2)
-        a2 = m2.alpha.reshape(4, 2)
-        np.testing.assert_allclose(a2, a1[perm], atol=1e-8)
-        # and predictions are permutation invariant
         x = rng.normal(size=2)
         np.testing.assert_allclose(
             shapley_prior.predict(m1, x)[0], shapley_prior.predict(m2, x)[0],
@@ -157,8 +153,8 @@ class TestFitPredict:
 def dense_reference(X, Phi, anchors, kernel, design, lam, noise, X_new):
     """Function-space prior: solve against the (n*d)^2 gram F K F^T + noise*I.
 
-    Returns the dual vector, the predictive means and covariances at X_new
-    and the induced payoffs B(x) K F^T alpha.
+    Returns the predictive means and covariances at X_new and the induced
+    payoffs B(x) K F^T alpha, with alpha the dual vector.
     """
     n, d = X.shape
     emb = cme.coalition_embedding(kernel, anchors, design, lam)
@@ -173,7 +169,7 @@ def dense_reference(X, Phi, anchors, kernel, design, lam, noise, X_new):
     if n:
         covs = covs - cross @ np.linalg.solve(gram, cross.transpose(0, 2, 1))
     payoffs = np.einsum("jik,i->kj", emb.weights(X_new), K @ F.T @ alpha)
-    return alpha, means, covs, payoffs
+    return means, covs, payoffs
 
 
 def assert_relative(actual, expected, rtol=1e-10):
@@ -202,10 +198,9 @@ class TestWeightSpaceMatchesFunctionSpace:
         model = shapley_prior.fit(ExplanationDataset(X=X, Phi=Phi), anchors, kernel,
                                   design, lam, noise)
         assert (model.anchor_factor.jitter_used > 0) == (copies > 1)
-        alpha, means, covs, payoffs = dense_reference(X, Phi, anchors, kernel, design,
-                                                      lam, noise, X_new)
+        means, covs, payoffs = dense_reference(X, Phi, anchors, kernel, design, lam,
+                                               noise, X_new)
         got_means, got_covs = shapley_prior.predict_batch(model, X_new)
-        assert_relative(model.alpha, alpha)
         assert_relative(got_means, means)
         assert_relative(got_covs, covs)
         assert_relative(np.array([shapley_prior.induced_payoff(model, x) for x in X_new]),
