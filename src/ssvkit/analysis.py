@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import numerics
 from .explain import ExplanationBatch
@@ -28,8 +27,12 @@ class GlobalImportance:
     abs_mean_ssv: np.ndarray
 
 
-def folded_mean(mu: float, sigma: float) -> float:
-    """Mean of |N(mu, sigma^2)|; reduces to |mu| when sigma == 0."""
+def folded_mean(mu: float, sigma: float, *, ndtr=None) -> float:
+    """Mean of |N(mu, sigma^2)|; reduces to |mu| when sigma == 0.
+
+    ``ndtr`` is ``scipy.special.ndtr``, imported here when not given: a
+    caller looping over many entries passes it in and imports it once.
+    """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
@@ -43,6 +46,8 @@ def folded_mean(mu: float, sigma: float) -> float:
         spread = np.exp(-(mu / sigma) ** 2 / 2.0)
     else:
         spread = np.exp(-mu_sq / two_var)
+    if ndtr is None:
+        from scipy.special import ndtr
     return float(sigma * np.sqrt(2.0 / np.pi) * spread + mu * (1.0 - 2.0 * ndtr(-mu / sigma)))
 
 
@@ -67,8 +72,10 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
 
 def importance(means: np.ndarray, sds: np.ndarray) -> GlobalImportance:
     """Folded-normal and absolute means per feature, averaged over the rows."""
+    from scipy.special import ndtr  # not at module import: it slows every command's start
+
     n, d = means.shape
-    folded = np.array([[folded_mean(means[k, i], sds[k, i]) for i in range(d)]
+    folded = np.array([[folded_mean(means[k, i], sds[k, i], ndtr=ndtr) for i in range(d)]
                        for k in range(n)])
     # column by column: mean(axis=0) sums in another order and would change
     # the last bit of figures `ssvkit analyze` has always written

@@ -17,7 +17,6 @@ import sys
 
 import click
 import numpy as np
-from scipy.special import ndtri
 
 from . import analysis, cme, coalition, explain, gp, kernels, numerics, shapley_prior
 from .errors import SsvkitError
@@ -198,13 +197,11 @@ def cmd_explain(posterior_path, instances_path, algo, coalitions, lam, ell0,
     if fmt == "csv":
         _write(output, batch.to_csv(level=credible if credible else 0.95))
     else:
-        doc = json.loads(batch.to_json())
-        doc["X"] = X.tolist()
+        extra = {"X": X.tolist()}
         if credible:
             lo, hi = explain.credible_intervals(batch, credible)
-            doc["credible_level"] = credible
-            doc["lo"], doc["hi"] = lo.tolist(), hi.tolist()
-        _write(output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            extra.update(credible_level=credible, lo=lo.tolist(), hi=hi.tolist())
+        _write(output, batch.to_json(**extra) + "\n")
     click.echo(f"explained {X.shape[0]} instances with {algo} "
                f"({design.n_coalitions} coalitions)")
 
@@ -308,6 +305,8 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
     means, covs = shapley_prior.predict_batch(model, X_new)
     out = {"means": means.tolist(), "cov": covs.tolist()}
     if credible:
+        from scipy.special import ndtri  # not at module import: it slows every command's start
+
         z = float(ndtri(0.5 * (1 + credible)))
         sds = np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
         out["credible_level"] = credible

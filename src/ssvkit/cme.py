@@ -164,7 +164,6 @@ class EmbeddingBatch:
     design: CoalitionDesign
     X_explain: np.ndarray
     weights: np.ndarray                     # n_coalitions x n_inducing x n_instances
-    lam: float
 
     @property
     def n_instances(self) -> int:
@@ -189,8 +188,8 @@ def embedding_weights(posterior: GPPosterior, subset: FeatureSubset,
 
 
 def _one_batch(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarray,
-               lam: float | None) -> tuple[np.ndarray, float, Iterator[CholeskyFactor]]:
-    """Checked instances, lambda and a one-pass iterator of coalition factors.
+               lam: float | None) -> tuple[np.ndarray, Iterator[CholeskyFactor]]:
+    """Checked instances and a one-pass iterator of coalition factors.
 
     One batch only: each factor is dropped right after its solve instead of
     being kept in a CoalitionEmbedding (ell*m^2 floats, 328 MB at d=10, m=200).
@@ -206,16 +205,16 @@ def _one_batch(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.nd
         lam = default_lambda(posterior.n_inducing)
     factors = (_coalition_factor(posterior.kernel, c, posterior.inducing_points, lam)
                for c in design.coalitions)
-    return X_explain, lam, factors
+    return X_explain, factors
 
 
 def embedding_batch(posterior: GPPosterior, design: CoalitionDesign,
                     X_explain: np.ndarray, lam: float | None = None) -> EmbeddingBatch:
     """Embedding weights for every coalition in a design, as one tensor."""
-    X_explain, lam, factors = _one_batch(posterior, design, X_explain, lam)
+    X_explain, factors = _one_batch(posterior, design, X_explain, lam)
     weights = _solve_all(posterior.kernel, posterior.inducing_points, design.coalitions,
                          factors, X_explain)
-    return EmbeddingBatch(design=design, X_explain=X_explain, lam=lam, weights=weights)
+    return EmbeddingBatch(design=design, X_explain=X_explain, weights=weights)
 
 
 def projected_batch(posterior: GPPosterior, design: CoalitionDesign,
@@ -226,7 +225,7 @@ def projected_batch(posterior: GPPosterior, design: CoalitionDesign,
     The payoff means are B(X)^T m with m the posterior mean at the inducing
     rows.  B(X) is streamed in blocks and never held whole.
     """
-    X_explain, _, factors = _one_batch(posterior, design, X_explain, lam)
+    X_explain, factors = _one_batch(posterior, design, X_explain, lam)
     return _project_all(design.A, posterior.kernel, posterior.inducing_points,
                         design.coalitions, factors, X_explain, posterior.mean_at_inducing)
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import cme, numerics
 from .coalition import CoalitionDesign
@@ -92,9 +91,12 @@ class ExplanationBatch:
              for k in range(self.n_instances)]
         )
 
-    def to_json(self) -> str:
+    def to_json(self, **extra) -> str:
+        """The explanation document, with the JSON-ready ``extra`` entries
+        added to it: one encoding pass for whatever a caller writes."""
         names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
         doc = {
+            **extra,
             "feature_names": names,
             "means": self.means.tolist(),
             "design_digest": self.design.digest(),
@@ -239,6 +241,8 @@ def credible_intervals(batch: ExplanationBatch,
     """Central Gaussian credible intervals mean +- z * sd, per entry."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
+    from scipy.special import ndtri  # not at module import: it slows every command's start
+
     z = float(ndtri(0.5 * (1.0 + level)))
     sds = batch.stds()
     return batch.means - z * sds, batch.means + z * sds

@@ -191,16 +191,31 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
     )
 
 
-def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float) -> float:
-    """Exact GP log marginal likelihood of the training targets."""
-    full = FeatureSubset.full(data.d)
-    K = kernels.gram(kernel, full, data.X, data.X)
-    K[np.diag_indices_from(K)] += noise
-    factor = numerics.cholesky_psd(K)
+def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float,
+                            gram: Optional[np.ndarray] = None) -> float:
+    """Exact GP log marginal likelihood of the training targets.
+
+    ``gram``, when given, must be ``kernels.gram(kernel, full, X, X)``: its
+    diagonal takes the noise for the factorization and gets its saved
+    values back afterwards, so the caller's matrix is left bit-identical.
+    """
+    if gram is None:
+        gram = kernels.gram(kernel, FeatureSubset.full(data.d), data.X, data.X)
+    diag = np.diag_indices_from(gram)
+    saved = gram[diag]          # a copy, put back as it was: subtracting the
+    gram[diag] += noise         # noise again would not restore every bit
+    try:
+        factor = numerics.cholesky_psd(gram)
+    finally:
+        gram[diag] = saved
     alpha = factor.solve(data.y)
     return float(
         -0.5 * data.y @ alpha - 0.5 * factor.logdet() - 0.5 * data.n * np.log(2.0 * np.pi)
     )
+
+
+def _same_kernel(a: KernelParams, b: KernelParams) -> bool:
+    return a.variance == b.variance and np.array_equal(a.lengthscales, b.lengthscales)
 
 
 def select_hyperparameters(
@@ -208,13 +223,24 @@ def select_hyperparameters(
 ) -> tuple[KernelParams, float]:
     """Grid search maximizing the exact log marginal likelihood.
 
-    Ties break toward the earliest grid position.
+    Ties break toward the earliest grid position.  The n x n gram depends
+    only on the kernel, so each run of consecutive grid points with the
+    same kernel (a lengthscale's noise levels in ``default_grid``) builds
+    it once and every point of the run factors it with its own noise on
+    the diagonal.  Memory stays at one gram plus one Cholesky factor, and
+    every point's likelihood is bit-identical to a fresh
+    ``log_marginal_likelihood`` call.
     """
     if not grid:
         raise ValueError("hyperparameter grid must be non-empty")
+    full = FeatureSubset.full(data.d)
     best, best_ll = None, -np.inf
+    K, K_params = None, None
     for params, noise in grid:
-        ll = log_marginal_likelihood(data, params, noise)
+        if K_params is None or not _same_kernel(params, K_params):
+            K = None                            # drop the old gram before building the next
+            K, K_params = kernels.gram(params, full, data.X, data.X), params
+        ll = log_marginal_likelihood(data, params, noise, gram=K)
         if ll > best_ll:
             best, best_ll = (params, noise), ll
     return best

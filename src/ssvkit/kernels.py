@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DimensionMismatch, TooFewPoints
 
 MAX_MASK_WIDTH = 30
+# bound on |a|^2 + |b|^2 under which no step of the gram's expansion overflows
+NORM_LIMIT = np.finfo(float).max / 4
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,25 @@ def gram(params: KernelParams, subset: FeatureSubset, A: np.ndarray,
     idx = subset.indices()
     if idx.size == 0:
         return np.ones((A.shape[0], B.shape[0]))
-    As = A[:, idx] / params.lengthscales[idx]
-    Bs = B[:, idx] / params.lengthscales[idx]
-    # |a|^2 - 2 a.b + |b|^2, clipped at 0, then variance * exp(-sq / 2):
-    # every step works in the one output buffer
-    out = (2.0 * As) @ Bs.T
-    np.subtract(np.sum(As**2, axis=1)[:, None], out, out=out)
-    out += np.sum(Bs**2, axis=1)[None, :]
-    np.maximum(out, 0.0, out=out)
+    ls = params.lengthscales[idx]
+    with np.errstate(over="ignore"):    # an overflow here fails the check
+        As, Bs = A[:, idx] / ls, B[:, idx] / ls
+        sa, sb = np.sum(As**2, axis=1), np.sum(Bs**2, axis=1)
+        expand = sa.max(initial=0.0) + sb.max(initial=0.0) <= NORM_LIMIT
+    if expand:
+        # |a|^2 - 2 a.b + |b|^2 stays below the largest float: clipped at 0,
+        # then variance * exp(-sq / 2), every step in the one output buffer
+        out = (2.0 * As) @ Bs.T
+        np.subtract(sa[:, None], out, out=out)
+        out += sb[None, :]
+        np.maximum(out, 0.0, out=out)
+    else:
+        # scaled inputs too large for the expansion: sum the squared scaled
+        # differences directly; one that overflows is inf and gives k == 0
+        out = np.zeros((A.shape[0], B.shape[0]))
+        with np.errstate(over="ignore"):
+            for u, l in zip(idx, ls):
+                out += ((A[:, u, None] - B[None, :, u]) / l) ** 2
     out *= -0.5
     np.exp(out, out=out)
     out *= params.variance

@@ -396,6 +396,63 @@ class TestImportFootprint:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 
+    def test_cli_import_leaves_scipy_special_unloaded(self, tmp_path):
+        # scipy.special costs about 0.06 s; only ndtr and ndtri need it
+        res = run_python(
+            ["-c", "import sys, ssvkit.cli; print('scipy.special' in sys.modules)"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+
+class TestExtremeMagnitudes:
+    """Inputs whose scaled squared distances overflow the gram's expansion,
+    or whose variance is denormal: each command answers with exit 0 and
+    prints nothing on stderr (no numpy floating-point warning)."""
+
+    TRAIN = "a,b,t\n" + "".join(f"{a!r},{b!r},{t!r}\n" for a, b, t in zip(
+        *(np.array([np.linspace(-2, 2, 8), np.cos(np.arange(8.0)),
+                    np.sin(np.linspace(-2, 2, 8))]).tolist())))
+
+    @staticmethod
+    def run_clean(args, cwd):
+        res = run_cli(args, cwd)
+        if res.returncode:
+            assert_one_line_input_error(res)
+        assert (res.returncode, res.stderr) == (0, ""), res.stderr
+        return res
+
+    @pytest.mark.parametrize("train", [
+        # column a's median gap is 1.68e-199, so a is 1e199 lengthscales wide
+        "a,b,t\n0.0,0.5,1.0\n0.0,0.1,0.0\n1.68e-199,0.7,0.3\n1.0,0.2,0.5\n0.0,0.9,0.1\n",
+        TRAIN + "1e200,0.5,0.2\n",
+    ], ids=["tiny-lengthscale", "far-row"])
+    def test_fit(self, tmp_path, train):
+        (tmp_path / "train.csv").write_text(train)
+        self.run_clean(["fit", "--data", "train.csv", "--target", "t"], tmp_path)
+        assert (tmp_path / "posterior.json").exists()
+
+    def test_explain_far_instances_alike(self, tmp_path):
+        # k_S(x) == 0 for every coalition holding feature a, so every instance
+        # this far out along a gets the same attributions
+        (tmp_path / "train.csv").write_text(self.TRAIN)
+        self.run_clean(["fit", "--data", "train.csv", "--target", "t"], tmp_path)
+        docs = []
+        for a in ("3.3e154", "1.7e308", "-1.7e308"):
+            (tmp_path / "far.csv").write_text(f"a,b\n{a},0.5\n")
+            self.run_clean(["explain", "--posterior", "posterior.json",
+                            "--instances", "far.csv"], tmp_path)
+            doc = json.loads((tmp_path / "explanations.json").read_text())
+            docs.append((doc["means"], doc["cov"]))
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_analyze_denormal_variance(self, tmp_path):
+        (tmp_path / "expl.json").write_text(json.dumps(
+            {"means": [[0.0, 1.0]], "cov": [[[4.3e-316, 0.0], [0.0, 4.3e-316]]],
+             "X": [[0.5, 1e300]]}))
+        self.run_clean(["analyze", "--explanations", "expl.json"], tmp_path)
+        lines = (tmp_path / "analysis_global.csv").read_text().splitlines()
+        assert lines[1] == f"x_1,{float(np.sqrt(4.3e-316) * np.sqrt(2 / np.pi))!r},0.0"
+
 
 class TestPredictExplain:
     def test_roundtrip_from_explain_json(self, workdir):

@@ -4,11 +4,13 @@ Every command runs in-process through ``click.testing.CliRunner``.  Each
 input is a valid file with up to two random mutations (a cell, entry or
 array element replaced by junk, a cell or entry dropped or added) or, now
 and then, any JSON value at all.  Whatever the file holds, the command
-exits 0, 2 (input) or 3 (numerics), no exception escapes, and a failure
-prints exactly one ``error:`` line.
+exits 0, 2 (input) or 3 (numerics), no exception escapes, no
+``RuntimeWarning`` (such as a numpy floating-point warning) is emitted, and a
+failure prints exactly one ``error:`` line.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ SMALL = st.floats(-3, 3)
 NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-10, 10),
-    st.sampled_from([0.0, 1e-300, 1e300, 10 ** 400]),
+    st.sampled_from([0.0, 1e-300, 1e-199, 3.3e154, 1e300, 1.7e308, 10 ** 400]),
 )
 CELL = st.one_of(
     NUMBER.map(repr),
@@ -138,7 +140,12 @@ def assert_clean_exit(result):
 
 
 def invoke(*args):
-    return CliRunner().invoke(cli.main, [str(a) for a in args])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(cli.main, [str(a) for a in args])
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (args, runtime)
+    return result
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssvkit import gp, kernels, numerics
-from ssvkit.errors import CountOutOfRange
+from ssvkit.errors import CountOutOfRange, JitterExceeded
 
 from conftest import make_regression
 
@@ -257,3 +257,61 @@ class TestSelectHyperparameters:
         var_y = np.var(small_data.y)
         assert noises[0] == pytest.approx(1e-3 * var_y)
         assert noises[-1] == pytest.approx(var_y)
+
+
+class TestGramReuse:
+    """``select_hyperparameters`` builds one n x n gram per run of grid
+    points sharing a kernel and hands it to ``log_marginal_likelihood``."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        calls, original = [], getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    def test_default_grid_builds_one_gram_per_lengthscale(self, small_data, monkeypatch):
+        grid = gp.default_grid(small_data)
+        grams = self.spy(monkeypatch, kernels, "gram")
+        gp.select_hyperparameters(small_data, grid)
+        assert len(grams) == 5
+        for (args, _, _), (params, _) in zip(grams, grid[::4]):
+            assert args[0] is params
+
+    @pytest.mark.parametrize("order", ["default", "interleaved"])
+    def test_grid_likelihoods_equal_fresh_calls_bit_for_bit(self, small_data,
+                                                            monkeypatch, order):
+        grid = gp.default_grid(small_data)
+        if order == "interleaved":          # no two neighbours share a kernel
+            grid = [grid[k] for j in range(4) for k in range(j, 20, 4)]
+        lmls = self.spy(monkeypatch, gp, "log_marginal_likelihood")
+        chosen = gp.select_hyperparameters(small_data, grid)
+        monkeypatch.undo()
+        assert len(lmls) == 20
+        fresh = [gp.log_marginal_likelihood(small_data, params, noise)
+                 for params, noise in grid]
+        for (args, kwargs, ll), (params, noise), want in zip(lmls, grid, fresh):
+            assert args[1:] == (params, noise) and kwargs["gram"] is not None
+            assert ll == want
+        assert chosen == grid[int(np.argmax(fresh))]
+
+    def test_callers_gram_is_left_bit_identical(self, small_data):
+        params, noise = gp.default_grid(small_data)[6]
+        K = kernels.gram(params, kernels.FeatureSubset.full(3), small_data.X, small_data.X)
+        before = K.tobytes()
+        ll = gp.log_marginal_likelihood(small_data, params, noise, gram=K)
+        assert K.tobytes() == before
+        assert ll == gp.log_marginal_likelihood(small_data, params, noise)
+
+    def test_callers_gram_is_restored_when_the_factorization_fails(self, small_data):
+        params, _ = gp.default_grid(small_data)[0]
+        K = kernels.gram(params, kernels.FeatureSubset.full(3), small_data.X, small_data.X)
+        before = K.tobytes()
+        with pytest.raises(JitterExceeded):  # a unit diagonal minus 1 is indefinite
+            gp.log_marginal_likelihood(small_data, params, -1.0, gram=K)
+        assert K.tobytes() == before

@@ -1,7 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from ssvkit import numerics
+from ssvkit import kernels, numerics
 from ssvkit.errors import DimensionMismatch, TooFewPoints
 from ssvkit.kernels import FeatureSubset, KernelParams, gram, median_heuristic
 
@@ -77,6 +80,52 @@ class TestGram:
     def test_dimension_mismatch(self, params):
         with pytest.raises(DimensionMismatch):
             gram(params, FeatureSubset.full(3), np.zeros((2, 2)), np.zeros((2, 3)))
+
+    @staticmethod
+    def reference(params, subset, A, B):
+        """variance * exp(-sq / 2) over direct differences, in Python floats."""
+        out = np.empty((len(A), len(B)))
+        for i, a in enumerate(A):
+            for j, b in enumerate(B):
+                sq = 0.0
+                for u in subset.indices():
+                    try:
+                        sq += ((float(a[u]) - float(b[u]))
+                               / float(params.lengthscales[u])) ** 2
+                    except OverflowError:
+                        sq = math.inf
+                out[i, j] = params.variance * math.exp(-0.5 * sq)
+        return out
+
+    @pytest.mark.parametrize("A,B,ls", [
+        ([[3.3e154, 0.5], [0.0, 0.5]], [[0.1, 0.4], [-0.2, 0.9]], [2.4, 0.9]),
+        ([[1.7e308, 0.5], [-1.7e308, 0.0]], [[0.1, 0.4], [1.7e308, 0.5]], [0.9, 0.9]),
+        ([[1e200, 1e200], [1e200, 0.0]], [[1e200, 1e200], [0.0, 0.0]], [1.0, 1.0]),
+        ([[0.0, 0.5], [1.68e-199, 0.1], [1.0, 0.7]],
+         [[0.0, 0.5], [1.68e-199, 0.1], [1.0, 0.7]], [4.2e-200, 0.1]),
+    ])
+    def test_extreme_magnitudes_are_exact_and_silent(self, A, B, ls):
+        # the expansion would overflow (inf - inf = nan on equal rows); the
+        # direct differences give k == variance there and k == 0 far away
+        params = KernelParams(variance=1.5, lengthscales=np.array(ls))
+        A, B = np.array(A), np.array(B)
+        for mask in range(1, 4):
+            subset = FeatureSubset(mask, 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                K = gram(params, subset, A, B)
+            np.testing.assert_allclose(K, self.reference(params, subset, A, B),
+                                       rtol=1e-14, atol=1e-300)
+
+    def test_direct_differences_match_the_expansion(self, params, rng, monkeypatch):
+        A = rng.normal(size=(7, 3))
+        B = rng.normal(size=(5, 3))
+        expanded = gram(params, FeatureSubset.full(3), A, B)
+        monkeypatch.setattr(kernels, "NORM_LIMIT", -1.0)    # every call takes the other path
+        direct = gram(params, FeatureSubset.full(3), A, B)
+        np.testing.assert_allclose(direct, expanded, rtol=1e-13)
+        np.testing.assert_allclose(direct, self.reference(params, FeatureSubset.full(3), A, B),
+                                   rtol=1e-14)
 
 
 class TestMedianHeuristic:
