@@ -27,28 +27,27 @@ class GlobalImportance:
     abs_mean_ssv: np.ndarray
 
 
-def folded_mean(mu: float, sigma: float, *, ndtr=None) -> float:
-    """Mean of |N(mu, sigma^2)|; reduces to |mu| when sigma == 0.
+def folded_mean(mu: float | np.ndarray, sigma: float | np.ndarray) -> float | np.ndarray:
+    """Mean of |N(mu, sigma^2)|, elementwise; reduces to |mu| where sigma == 0.
 
-    ``ndtr`` is ``scipy.special.ndtr``, imported here when not given: a
-    caller looping over many entries passes it in and imports it once.
+    Scalar inputs give a float, arrays an array of their broadcast shape.
     """
-    if sigma < 0:
+    from scipy.special import ndtr  # not at module import: it slows every command's start
+
+    mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))
+    if np.any(sigma < 0):
         raise ValueError("sigma must be non-negative")
-    if sigma == 0.0:
-        return abs(mu)
-    # past |mu| = 38 sigma the first term is below half an ulp of the second,
-    # and mu^2 / (2 sigma^2) overflows once sigma^2 is denormal: skip it
-    mu_sq, two_var = mu * mu, 2.0 * sigma * sigma
-    if mu_sq > 750.0 * two_var:
-        spread = 0.0
-    elif two_var < SMALLEST_NORMAL:  # sigma^2 underflows: divide before squaring
-        spread = np.exp(-(mu / sigma) ** 2 / 2.0)
-    else:
-        spread = np.exp(-mu_sq / two_var)
-    if ndtr is None:
-        from scipy.special import ndtr
-    return float(sigma * np.sqrt(2.0 / np.pi) * spread + mu * (1.0 - 2.0 * ndtr(-mu / sigma)))
+    with np.errstate(all="ignore"):     # every branch is computed; each entry keeps its own
+        mu_sq, two_var = mu * mu, 2.0 * sigma * sigma
+        # sigma^2 underflows: divide before squaring
+        spread = np.where(two_var < SMALLEST_NORMAL, np.exp(-(mu / sigma) ** 2 / 2.0),
+                          np.exp(-mu_sq / two_var))
+        # past |mu| = 38 sigma the first term is below half an ulp of the second,
+        # and mu^2 / (2 sigma^2) overflows once sigma^2 is denormal: skip it
+        spread[mu_sq > 750.0 * two_var] = 0.0
+        out = sigma * np.sqrt(2.0 / np.pi) * spread + mu * (1.0 - 2.0 * ndtr(-mu / sigma))
+    out = np.where(sigma == 0.0, np.abs(mu), out)
+    return float(out) if out.ndim == 0 else out
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -72,11 +71,8 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
 
 def importance(means: np.ndarray, sds: np.ndarray) -> GlobalImportance:
     """Folded-normal and absolute means per feature, averaged over the rows."""
-    from scipy.special import ndtr  # not at module import: it slows every command's start
-
-    n, d = means.shape
-    folded = np.array([[folded_mean(means[k, i], sds[k, i], ndtr=ndtr) for i in range(d)]
-                       for k in range(n)])
+    d = means.shape[1]
+    folded = folded_mean(means, sds)
     # column by column: mean(axis=0) sums in another order and would change
     # the last bit of figures `ssvkit analyze` has always written
     return GlobalImportance(
@@ -122,7 +118,7 @@ def precision_graph(cov: np.ndarray, sparsity: float = 0.9,
         raise ValueError("sparsity must lie in [0, 1)")
     cov = np.asarray(cov, dtype=float)
     d = cov.shape[0]
-    P = numerics.cholesky_psd(cov + jitter * np.eye(d)).solve(np.eye(d))
+    P = numerics.cholesky_psd(cov, shift=jitter).solve(np.eye(d))
     denom = np.sqrt(np.outer(np.diag(P), np.diag(P)))
     rho = -P / denom
     np.fill_diagonal(rho, 1.0)

@@ -147,9 +147,10 @@ def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractio
     posterior = gp.fit_exact(data, params, noise, idx)
     ll = gp.log_marginal_likelihood(data, params, noise)
     _write(output, posterior.to_json() + "\n")
+    lengthscales = ", ".join(f"{v:.6g}" for v in params.lengthscales)
     click.echo(
         f"n={data.n} d={data.d} n_inducing={posterior.n_inducing} "
-        f"lengthscales={np.round(params.lengthscales, 6).tolist()} "
+        f"lengthscales=[{lengthscales}] "
         f"noise={noise:.6g} log_marginal_likelihood={ll:.6f}"
     )
 

@@ -54,9 +54,7 @@ def _coalition_factor(kernel: KernelParams, subset: FeatureSubset, rows: np.ndar
     """Cholesky factor of K_S + lambda*I over the embedding rows."""
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-    K_s = kernels.gram(kernel, subset, rows, rows)
-    K_s[np.diag_indices_from(K_s)] += lam   # the gram is fresh: regularize in place
-    return numerics.cholesky_psd(K_s)
+    return numerics.cholesky_psd(kernels.gram(kernel, subset, rows, rows), shift=lam)
 
 
 def _weight_chunks(kernel: KernelParams, rows: np.ndarray,

@@ -163,29 +163,23 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
 
     Posterior mean m(x) = k(x, X)(K + noise*I)^-1 y and covariance
     k(x, x') - k(x, X)(K + noise*I)^-1 k(X, x'), both restricted to the
-    inducing rows.
+    inducing rows.  One n x n gram K is built: the inducing rows' blocks
+    are read out of it, and ``numerics.cholesky_psd`` adds the noise to
+    its own copy.
     """
     if noise <= 0:
         raise ValueError("noise must be positive")
-    full = FeatureSubset.full(data.d)
     if inducing is None:
         inducing = np.arange(data.n)
     inducing = np.asarray(inducing, dtype=int)
-    Xi = data.X[inducing]
 
-    K = kernels.gram(kernel, full, data.X, data.X)
-    K_ix = kernels.gram(kernel, full, Xi, data.X)
-    K_ii = kernels.gram(kernel, full, Xi, Xi)
-
-    K[np.diag_indices_from(K)] += noise     # K is fresh: regularize in place
-    factor = numerics.cholesky_psd(K)
-    mean = K_ix @ factor.solve(data.y)
-    cov = K_ii - K_ix @ factor.solve(K_ix.T)
-    cov = numerics.symmetrize(cov)
+    K = kernels.gram(kernel, FeatureSubset.full(data.d), data.X, data.X)
+    K_ix, K_ii = K[inducing], K[np.ix_(inducing, inducing)]
+    factor = numerics.cholesky_psd(K, shift=noise)
     return GPPosterior(
-        inducing_points=Xi,
-        mean_at_inducing=mean,
-        cov_at_inducing=cov,
+        inducing_points=data.X[inducing],
+        mean_at_inducing=K_ix @ factor.solve(data.y),
+        cov_at_inducing=numerics.symmetrize(K_ii - K_ix @ factor.solve(K_ix.T)),
         kernel=kernel,
         noise=float(noise),
     )
@@ -195,19 +189,12 @@ def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float,
                             gram: Optional[np.ndarray] = None) -> float:
     """Exact GP log marginal likelihood of the training targets.
 
-    ``gram``, when given, must be ``kernels.gram(kernel, full, X, X)``: its
-    diagonal takes the noise for the factorization and gets its saved
-    values back afterwards, so the caller's matrix is left bit-identical.
+    ``gram``, when given, must be ``kernels.gram(kernel, full, X, X)``; it
+    is only read, so a caller can reuse it for other noise levels.
     """
     if gram is None:
         gram = kernels.gram(kernel, FeatureSubset.full(data.d), data.X, data.X)
-    diag = np.diag_indices_from(gram)
-    saved = gram[diag]          # a copy, put back as it was: subtracting the
-    gram[diag] += noise         # noise again would not restore every bit
-    try:
-        factor = numerics.cholesky_psd(gram)
-    finally:
-        gram[diag] = saved
+    factor = numerics.cholesky_psd(gram, shift=noise)
     alpha = factor.solve(data.y)
     return float(
         -0.5 * data.y @ alpha - 0.5 * factor.logdet() - 0.5 * data.n * np.log(2.0 * np.pi)
@@ -256,6 +243,9 @@ def default_grid(data: Dataset, ls_multipliers: Sequence[float] = (0.25, 0.5, 1.
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
     base = kernels.median_heuristic(data.X)
-    var_y = float(np.var(data.y)) or 1.0
+    with np.errstate(over="ignore"):    # an overflow here fails the check
+        var_y = float(np.var(data.y)) or 1.0
+    if not np.isfinite(var_y):
+        raise ValueError("the target's variance overflows a float; rescale the target")
     return [(KernelParams(variance=1.0, lengthscales=mult * base), frac * var_y)
             for mult in ls_multipliers for frac in noise_fractions]

@@ -26,10 +26,6 @@ class CholeskyFactor:
     lower: np.ndarray
     jitter_used: float
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (L L^T) x = rhs."""
         return linalg.cho_solve((self.lower, True), rhs)
@@ -39,30 +35,39 @@ class CholeskyFactor:
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
 
-def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER) -> CholeskyFactor:
-    """Cholesky-factor a symmetric PSD matrix, escalating diagonal jitter.
+def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER, *,
+                 shift: float = 0.0) -> CholeskyFactor:
+    """Cholesky-factor ``m + shift*I`` for a symmetric PSD ``m``, escalating jitter.
 
     Jitter starts at 1e-12 and grows by a factor of 10 until the
-    factorization succeeds; the first attempt factors ``m`` as given.
-    ``m`` is never modified.
+    factorization succeeds.  An attempt with a shift or a jitter adds them,
+    in that order, to the diagonal of its own Fortran-order copy of ``m``
+    and factors the copy in place; otherwise it factors ``m`` as given.
+    This is the only code that adds to a diagonal.  ``m`` is never modified.
 
     Raises
     ------
+    ValueError
+        If ``m`` is not square, or ``m`` or its shifted diagonal is not finite.
     JitterExceeded
         If no factorization succeeds with jitter <= ``max_jitter``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    with np.errstate(over="ignore"):    # an overflow here fails the check
+        diag = np.diagonal(m) + shift
+    if not (np.all(np.isfinite(m)) and np.isfinite(shift) and np.all(np.isfinite(diag))):
         raise ValueError("matrix contains non-finite entries")
 
     jitter = 0.0
     while True:
-        jittered = m if jitter == 0.0 else m + jitter * np.eye(m.shape[0])
-        try:
-            # finiteness was checked above
-            lower = linalg.cholesky(jittered, lower=True, check_finite=False)
+        a = m
+        if shift != 0.0 or jitter != 0.0:
+            a = np.array(m, order="F")
+            np.fill_diagonal(a, diag + jitter)
+        try:  # finiteness was checked above; a copy is ours to overwrite
+            lower = linalg.cholesky(a, lower=True, overwrite_a=a is not m, check_finite=False)
             return CholeskyFactor(lower=lower, jitter_used=jitter)
         except np.linalg.LinAlgError:
             pass
@@ -80,7 +85,7 @@ def solve_regularized(m: np.ndarray, lam: float, rhs: np.ndarray,
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {m.shape[0]}")
-    factor = cholesky_psd(m + lam * np.eye(m.shape[0]), max_jitter=max_jitter)
+    factor = cholesky_psd(m, max_jitter=max_jitter, shift=lam)
     return factor.solve(rhs)
 
 

@@ -104,7 +104,7 @@ def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
     F = embedding.projected(data.X).reshape(n * d, m)
     G = F @ L
     y = data.Phi.reshape(-1)
-    weight_factor = numerics.cholesky_psd(G.T @ G + noise * np.eye(m))
+    weight_factor = numerics.cholesky_psd(G.T @ G, shift=noise)
     weight_mean = weight_factor.solve(G.T @ y)
     cov_root = np.sqrt(noise) * linalg.solve_triangular(
         weight_factor.lower, L.T, lower=True).T

@@ -87,6 +87,33 @@ class TestFoldedMean:
                 )
                 assert analysis.folded_mean(mu, sigma) == old
 
+    def test_array_call_equals_entry_by_entry_calls_bit_for_bit(self, rng):
+        mus = np.r_[np.linspace(-40.0, 40.0, 81), rng.normal(scale=5.0, size=40), 0.0, 1e-170]
+        sigmas = np.array([0.0, 1e-170, np.sqrt(4.3e-316), 1e-12, 0.3, 1.0, 2.5, 1e3])
+        mu, sigma = np.meshgrid(mus, sigmas, indexing="ij")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analysis.folded_mean(mu, sigma)
+            want = [[analysis.folded_mean(a, b) for b in sigmas] for a in mus]
+        assert got.shape == mu.shape
+        assert got.tobytes() == np.array(want).tobytes()
+        assert all(type(v) is float for row in want for v in row)
+
+    def test_negative_sigma_in_an_array_raises(self):
+        with pytest.raises(ValueError):
+            analysis.folded_mean(np.zeros(3), np.array([1.0, -1.0, 1.0]))
+
+    def test_importance_calls_it_once(self, monkeypatch, rng):
+        calls, original = [], analysis.folded_mean
+
+        def counted(mu, sigma):
+            calls.append(np.shape(mu))
+            return original(mu, sigma)
+
+        monkeypatch.setattr(analysis, "folded_mean", counted)
+        analysis.importance(rng.normal(size=(7, 3)), rng.uniform(size=(7, 3)))
+        assert calls == [(7, 3)]
+
 
 class TestAverageRanks:
     def test_untied_ranks_are_a_permutation(self, rng):

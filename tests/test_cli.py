@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -253,6 +254,8 @@ class TestInputBoundary:
          "count must be in [1, 40]"),
         ({"bad.csv": "a,b,t\n1.0,2.0,3.0\n"}, ["fit", "--data", "bad.csv", "--target", "t"],
          "at least two points"),
+        ({"big.csv": "x,t\n0.0,1e200\n1.0,3e199\n2.0,1e200\n3.0,3e199\n4.0,1e200\n"},
+         ["fit", "--data", "big.csv", "--target", "t"], "the target's variance overflows"),
         ({}, EXPLAIN + ["--lam", "-1"], "lambda must be positive"),
         ({}, EXPLAIN + ["--lam", "0"], "lambda must be positive"),
         ({}, EXPLAIN + ["--lam", "nan"], "lambda must be positive"),
@@ -300,7 +303,8 @@ class TestInputBoundary:
          "noise_fractions must be positive and finite, got nan"),
         ({}, ["fit", "--data", "train.csv", "--target", "target", "--ls-multipliers", "1,0"],
          "ls_multipliers must be positive and finite, got 0.0"),
-    ], ids=["fit-inducing-0", "fit-one-row", "lam-negative", "lam-0", "lam-nan",
+    ], ids=["fit-inducing-0", "fit-one-row", "fit-target-variance-overflows",
+            "lam-negative", "lam-0", "lam-nan",
             "ell0-nan", "ell0-sigma0-negative", "ell0-below-minus-ell", "sigma0-inf",
             "coalitions-above-2^d", "output-dir-missing", "sparsity-1.5", "prefix-dir-missing",
             "posterior-list", "analyze-cov-1x1", "analyze-means-1d", "analyze-list",
@@ -428,8 +432,14 @@ class TestExtremeMagnitudes:
     ], ids=["tiny-lengthscale", "far-row"])
     def test_fit(self, tmp_path, train):
         (tmp_path / "train.csv").write_text(train)
-        self.run_clean(["fit", "--data", "train.csv", "--target", "t"], tmp_path)
-        assert (tmp_path / "posterior.json").exists()
+        res = self.run_clean(["fit", "--data", "train.csv", "--target", "t"], tmp_path)
+        doc = json.loads((tmp_path / "posterior.json").read_text())
+        # the summary line shows each lengthscale to 6 significant digits,
+        # however small (8.4e-200 in tiny-lengthscale)
+        printed = re.search(r"lengthscales=\[(.*?)\]", res.stdout).group(1).split(", ")
+        assert printed == [f"{v:.6g}" for v in doc["kernel"]["lengthscales"]]
+        assert [float(v) for v in printed] == pytest.approx(doc["kernel"]["lengthscales"],
+                                                            rel=5e-6, abs=0.0)
 
     def test_explain_far_instances_alike(self, tmp_path):
         # k_S(x) == 0 for every coalition holding feature a, so every instance

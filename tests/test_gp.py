@@ -121,6 +121,35 @@ class TestFitExact:
         np.testing.assert_array_equal(post.mean_at_inducing, mean)
         np.testing.assert_array_equal(post.cov_at_inducing, cov)
 
+    def test_builds_one_gram_and_matches_three_gram_reference(self, small_data,
+                                                              monkeypatch):
+        from scipy import linalg
+
+        params = kernels.KernelParams(variance=1.5, lengthscales=np.ones(3) * 0.8)
+        idx = np.array([20, 1, 7, 5])
+        grams = TestGramReuse.spy(monkeypatch, kernels, "gram")
+        post = gp.fit_exact(small_data, params, noise=0.1, inducing=idx)
+        monkeypatch.undo()
+        assert len(grams) == 1
+        # the inducing blocks built as grams of their own, factored by scipy
+        full, X, Xi = kernels.FeatureSubset.full(3), small_data.X, small_data.X[idx]
+        K_ix, K_ii = kernels.gram(params, full, Xi, X), kernels.gram(params, full, Xi, Xi)
+        chol = linalg.cho_factor(kernels.gram(params, full, X, X) + 0.1 * np.eye(30),
+                                 lower=True)
+        mean = K_ix @ linalg.cho_solve(chol, small_data.y)
+        cov = K_ii - K_ix @ linalg.cho_solve(chol, K_ix.T)
+        for got, want in ((post.mean_at_inducing, mean), (post.cov_at_inducing, cov)):
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+        np.testing.assert_array_equal(post.inducing_points, Xi)
+
+    @pytest.mark.parametrize("noise", [np.inf, np.nan])
+    def test_non_finite_noise_is_rejected(self, small_data, noise):
+        params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
+        with pytest.raises(ValueError):
+            gp.fit_exact(small_data, params, noise=noise)
+        with pytest.raises(ValueError):
+            gp.log_marginal_likelihood(small_data, params, noise=noise)
+
     def test_json_roundtrip(self, small_data):
         params = kernels.KernelParams(variance=2.0, lengthscales=np.ones(3) * 0.7)
         post = gp.fit_exact(small_data, params, noise=0.2)

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ssvkit import numerics
+from ssvkit import kernels, numerics
 from ssvkit.errors import JitterExceeded
 
 
@@ -81,6 +83,94 @@ class TestCholeskyPsd:
         m = 2.0 * np.eye(3)
         numerics.cholesky_psd(m)
         assert len(seen) == 1 and seen[0] is m
+
+
+def kernel_gram(repeat=False):
+    """A 12 x 12 RBF gram whose two triangles differ in the last bits; with
+    ``repeat`` its rows come in equal pairs, so it is singular."""
+    X = np.random.default_rng(3).normal(size=(6 if repeat else 12, 3))
+    if repeat:
+        X = np.vstack([X, X])
+    params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
+    K = kernels.gram(params, kernels.FeatureSubset.full(3), X, X)
+    assert not np.array_equal(K, K.T)
+    return K
+
+
+class TestShift:
+    """``cholesky_psd(m, shift=c)`` factors m + c*I on a copy of its own."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        import scipy.linalg
+
+        seen = []
+        original = scipy.linalg.cholesky
+
+        def recorded(a, *args, **kwargs):
+            seen.append((a, a.copy(), kwargs))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", recorded)
+        return seen
+
+    # (gram, shift, jitter the factorization needs); -1e-16 rounds differently
+    # when added after the 1e-12 jitter rather than before it
+    CASES = [(False, 0.1, 0.0), (True, 0.5, 0.0), (True, 1e-17, 1e-12),
+             (True, -1e-16, 1e-12)]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("repeat,shift,jitter", CASES)
+    def test_equals_factoring_the_shifted_matrix_bit_for_bit(self, order, repeat,
+                                                               shift, jitter):
+        m = np.asarray(kernel_gram(repeat=repeat), order=order)
+        got = numerics.cholesky_psd(m, shift=shift)
+        want = numerics.cholesky_psd(m + shift * np.eye(12))
+        assert got.jitter_used == want.jitter_used == jitter
+        assert got.lower.tobytes() == want.lower.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("repeat,shift,jitter", CASES)
+    def test_input_is_left_unmodified(self, order, repeat, shift, jitter):
+        m = np.asarray(kernel_gram(repeat=repeat), order=order)
+        before = m.tobytes(order="A")
+        assert numerics.cholesky_psd(m, shift=shift).jitter_used == jitter
+        assert m.tobytes(order="A") == before
+
+    def test_factors_one_fortran_copy_in_place(self, monkeypatch):
+        m = kernel_gram()
+        seen = self.spy(monkeypatch)
+        numerics.cholesky_psd(m, shift=0.25)
+        assert len(seen) == 1
+        a, given, kwargs = seen[0]
+        assert a is not m and not np.shares_memory(a, m)
+        assert a.flags.f_contiguous and kwargs["overwrite_a"] is True
+        np.testing.assert_array_equal(given, m + 0.25 * np.eye(12))
+
+    def test_each_jitter_attempt_copies_afresh(self, monkeypatch):
+        m = kernel_gram(repeat=True)
+        seen = self.spy(monkeypatch)
+        numerics.cholesky_psd(m, shift=1e-17)
+        assert len(seen) == 2
+        for (a, given, kwargs), jitter in zip(seen, [0.0, 1e-12]):
+            assert a.flags.f_contiguous and kwargs["overwrite_a"] is True
+            np.testing.assert_array_equal(given, (m + 1e-17 * np.eye(12)) + jitter * np.eye(12))
+
+    @pytest.mark.parametrize("m,shift", [
+        (np.eye(2), np.inf),
+        (np.eye(2), -np.inf),
+        (np.eye(2), np.nan),
+        (1e308 * np.eye(2), 1e308),      # finite shift, but the diagonal overflows
+    ], ids=["inf", "minus-inf", "nan", "diagonal-overflows"])
+    def test_non_finite_shifted_diagonal_is_rejected(self, m, shift):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+                numerics.cholesky_psd(m, shift=shift)
+
+    def test_shift_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            numerics.cholesky_psd(np.eye(2), 1e-4, 0.5)
 
 
 class TestSolveRegularized:
