@@ -49,7 +49,7 @@ print("\nper-feature standard deviations, GP term vs GP+Bayes term:")
 print(np.round(gp_batch.stds(), 3))
 print(np.round(bayes_batch.stds(), 3))
 
-lo, hi = ssvkit.credible_intervals(bayes_batch, 0.95)
+lo, hi = ssvkit.credible_intervals(bayes_batch.means, bayes_batch.stds(), 0.95)
 print("\n95% credible intervals for instance 0:")
 for i, name in enumerate(names):
     print(f"  {name:>6}: [{lo[0, i]: .3f}, {hi[0, i]: .3f}]  "

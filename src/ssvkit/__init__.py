@@ -10,7 +10,6 @@ from . import analysis, cme, coalition, explain, gp, kernels, numerics, shapley_
 from .coalition import (
     CoalitionDesign,
     StochasticGame,
-    build_projection,
     enumerate_coalitions,
     exact_ssv,
     sample_coalitions,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "analysis", "cme", "coalition", "explain", "gp", "kernels", "numerics",
     "shapley_prior",
-    "CoalitionDesign", "StochasticGame", "build_projection",
+    "CoalitionDesign", "StochasticGame",
     "enumerate_coalitions", "exact_ssv", "sample_coalitions",
     "shapley_kernel_weight", "shapley_of_variance_game",
     "BayesConfig", "ExplanationBatch",

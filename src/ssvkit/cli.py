@@ -200,7 +200,7 @@ def cmd_explain(posterior_path, instances_path, algo, coalitions, lam, ell0,
     else:
         extra = {"X": X.tolist()}
         if credible:
-            lo, hi = explain.credible_intervals(batch, credible)
+            lo, hi = explain.credible_intervals(batch.means, batch.stds(), credible)
             extra.update(credible_level=credible, lo=lo.tolist(), hi=hi.tolist())
         _write(output, batch.to_json(**extra) + "\n")
     click.echo(f"explained {X.shape[0]} instances with {algo} "
@@ -306,12 +306,9 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
     means, covs = shapley_prior.predict_batch(model, X_new)
     out = {"means": means.tolist(), "cov": covs.tolist()}
     if credible:
-        from scipy.special import ndtri  # not at module import: it slows every command's start
-
-        z = float(ndtri(0.5 * (1 + credible)))
         sds = np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
-        out["credible_level"] = credible
-        out["lo"], out["hi"] = (means - z * sds).tolist(), (means + z * sds).tolist()
+        lo, hi = explain.credible_intervals(means, sds, credible)
+        out.update(credible_level=credible, lo=lo.tolist(), hi=hi.tolist())
     _write(output, json.dumps(out, indent=2, sort_keys=True) + "\n")
     click.echo(f"predicted explanations for {X_new.shape[0]} instances "
                f"from {X.shape[0]} observed ones")

@@ -4,14 +4,15 @@ The projection matrix A maps a payoff vector over coalitions to Shapley
 values.  Infinite weights on the empty and grand coalitions are realized
 as exact equality constraints eliminated through the KKT conditions, so A
 remains a single linear map that pushes forward both the mean vector and
-the covariance matrix of a stochastic game.
+the covariance matrix of a stochastic game.  A design over ell coalitions
+is built in O(ell * d) memory: no ell x ell matrix is ever formed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 
@@ -87,79 +88,55 @@ class StochasticGame:
             raise ValueError("payoff moments do not match the design size")
 
 
-def build_projection(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Constrained-WLS projection matrix A (shape d x n_coalitions).
+def _design_from_masks(d: int, masks: list[int]) -> CoalitionDesign:
+    """The design over ``masks`` with its constrained-WLS projection A (d x ell).
 
-    Minimizes the weighted squared residuals of the interior coalitions
+    A minimizes the weighted squared residuals of the interior coalitions
     subject to phi_0 = v_empty and phi_0 + sum_i phi_i = v_full, solved by
-    eliminating the constraints and factoring the reduced system.  With no
-    interior rows the ridge limit allocates v_full - v_empty equally.
+    eliminating the constraints and factoring the reduced system
+    H = Z_i^T W_i Z_i.  Rows sort by (size, mask value), so the empty
+    coalition is row 0, the grand coalition row ell - 1 and the interior
+    rows are ``1:-1``.  With no interior rows the ridge limit allocates
+    v_full - v_empty equally.  Every array is ell x d or smaller.
 
     Raises
     ------
     SingularSystem
         If the reduced system is rank deficient beyond a 1e-10 jitter.
     """
-    Z = np.asarray(Z, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    ell, d = Z.shape
-    sizes = Z.sum(axis=1)
-    empty_rows = np.flatnonzero(sizes == 0)
-    full_rows = np.flatnonzero(sizes == d)
-    if empty_rows.size != 1 or full_rows.size != 1:
-        raise ValueError("Z must contain exactly one empty row and one full row")
-    i_empty, i_full = int(empty_rows[0]), int(full_rows[0])
-    interior = [j for j in range(ell) if j not in (i_empty, i_full)]
+    counts = Counter(masks)
+    ordered = sorted(counts, key=lambda m: (m.bit_count(), m))
+    ell = len(ordered)
+    Z = ((np.array(ordered, dtype=np.int64)[:, None] >> np.arange(d)) & 1).astype(float)
+    # duplicates from with-replacement sampling merge by summing weights
+    per_size = np.array([0.0] + [shapley_kernel_weight(d, s) for s in range(1, d)] + [0.0])
+    weights = np.array([counts[m] for m in ordered]) * per_size[[m.bit_count() for m in ordered]]
 
     # Efficiency rows: 1^T A v = v_full - v_empty regardless of interior fit.
     delta = np.zeros(ell)
-    delta[i_full], delta[i_empty] = 1.0, -1.0
-
-    if not interior:
-        return np.tile(delta / d, (d, 1))
-
-    Zi = Z[interior]
-    Wi = weights[interior]
-    if np.any(Wi <= 0):
-        raise ValueError("interior weights must be strictly positive")
-
-    # u = v_interior - v_empty, as a linear map of the full payoff vector
-    U = np.zeros((len(interior), ell))
-    U[np.arange(len(interior)), interior] = 1.0
-    U[:, i_empty] -= 1.0
-
-    H = Zi.T @ (Wi[:, None] * Zi)
-    try:
-        factor = numerics.cholesky_psd(H, max_jitter=PROJECTION_JITTER)
-    except JitterExceeded as exc:
-        raise SingularSystem(
-            "too few distinct interior coalitions for a well-posed projection"
-        ) from exc
-
-    G = Zi.T @ (Wi[:, None] * U)          # d x ell, maps v -> Z^T W u
-    HinvG = factor.solve(G)
-    h1 = factor.solve(np.ones(d))
-    mu_row = (np.ones(d) @ HinvG - delta) / float(np.ones(d) @ h1)
-    return HinvG - np.outer(h1, mu_row)
-
-
-def _design_from_masks(d: int, masks: list[int]) -> CoalitionDesign:
-    counts = Counter(masks)
-    ordered = sorted(counts, key=lambda m: (bin(m).count("1"), m))
-    coalitions = tuple(FeatureSubset(m, d) for m in ordered)
-    Z = np.array([c.binary_vector() for c in coalitions])
-    # duplicates from with-replacement sampling merge by summing weights
-    weights = np.zeros(len(coalitions))
-    for j, c in enumerate(coalitions):
-        if 0 < c.size() < d:
-            weights[j] = counts[c.mask] * shapley_kernel_weight(d, c.size())
-    A = build_projection(Z, weights)
-    interior = slice(1, len(coalitions) - 1)
-    Zi, Wi = Z[interior], weights[interior]
-    ztwz = Zi.T @ (Wi[:, None] * Zi) if Zi.shape[0] else np.zeros((d, d))
+    delta[-1], delta[0] = 1.0, -1.0
+    if ell == 2:
+        A, H = np.tile(delta / d, (d, 1)), np.zeros((d, d))
+    else:
+        ZW = Z[1:-1].T * weights[1:-1]                   # d x (ell - 2)
+        H = numerics.symmetrize(ZW @ Z[1:-1])
+        try:
+            factor = numerics.cholesky_psd(H, max_jitter=PROJECTION_JITTER)
+        except JitterExceeded as exc:
+            raise SingularSystem(
+                "too few distinct interior coalitions for a well-posed projection"
+            ) from exc
+        # G maps v -> Z_i^T W_i (v_interior - v_empty); column 0 is correctly rounded
+        G = np.zeros((d, ell))
+        G[:, 1:-1] = ZW
+        G[:, 0] = [-fsum(row.tolist()) for row in ZW]
+        HinvG = factor.solve(G)
+        h1 = factor.solve(np.ones(d))
+        mu_row = (np.ones(d) @ HinvG - delta) / float(np.ones(d) @ h1)
+        A = HinvG - np.outer(h1, mu_row)
     return CoalitionDesign(
-        d=d, coalitions=coalitions, Z=Z, weights=weights, A=A,
-        ZtWZ_interior=numerics.symmetrize(ztwz),
+        d=d, coalitions=tuple(FeatureSubset(m, d) for m in ordered), Z=Z,
+        weights=weights, A=A, ZtWZ_interior=H,
     )
 
 

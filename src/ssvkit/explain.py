@@ -109,7 +109,7 @@ class ExplanationBatch:
     def to_csv(self, level: float = 0.95) -> str:
         names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
         sds = self.stds()
-        lo, hi = credible_intervals(self, level)
+        lo, hi = credible_intervals(self.means, sds, level)
         lines = ["instance,feature,mean,sd,lo,hi"]
         for k in range(self.n_instances):
             for i in range(self.d):
@@ -236,13 +236,12 @@ def bayesshap_deterministic(payoffs: np.ndarray, design: CoalitionDesign,
     )
 
 
-def credible_intervals(batch: ExplanationBatch,
+def credible_intervals(means: np.ndarray, sds: np.ndarray,
                        level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
-    """Central Gaussian credible intervals mean +- z * sd, per entry."""
+    """Central Gaussian credible intervals means +- z * sds, per entry."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     from scipy.special import ndtri  # not at module import: it slows every command's start
 
     z = float(ndtri(0.5 * (1.0 + level)))
-    sds = batch.stds()
-    return batch.means - z * sds, batch.means + z * sds
+    return means - z * sds, means + z * sds

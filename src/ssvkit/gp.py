@@ -157,6 +157,11 @@ def farthest_point_indices(X: np.ndarray, count: int) -> np.ndarray:
     return np.array(chosen, dtype=int)
 
 
+def _require_noise(noise: float) -> None:
+    if not (np.isfinite(noise) and noise > 0):
+        raise ValueError(f"noise must be positive and finite, got {noise!r}")
+
+
 def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
               inducing: Optional[np.ndarray] = None) -> GPPosterior:
     """Exact GP regression, evaluated at the selected inducing rows.
@@ -167,8 +172,7 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
     are read out of it, and ``numerics.cholesky_psd`` adds the noise to
     its own copy.
     """
-    if noise <= 0:
-        raise ValueError("noise must be positive")
+    _require_noise(noise)
     if inducing is None:
         inducing = np.arange(data.n)
     inducing = np.asarray(inducing, dtype=int)
@@ -192,6 +196,7 @@ def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float,
     ``gram``, when given, must be ``kernels.gram(kernel, full, X, X)``; it
     is only read, so a caller can reuse it for other noise levels.
     """
+    _require_noise(noise)
     if gram is None:
         gram = kernels.gram(kernel, FeatureSubset.full(data.d), data.X, data.X)
     factor = numerics.cholesky_psd(gram, shift=noise)

@@ -74,9 +74,6 @@ class FeatureSubset:
     def size(self) -> int:
         return int(self.mask).bit_count()
 
-    def binary_vector(self) -> np.ndarray:
-        return np.array([(self.mask >> i) & 1 for i in range(self.d)], dtype=float)
-
 
 def gram(params: KernelParams, subset: FeatureSubset, A: np.ndarray,
          B: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from ssvkit import coalition
 from ssvkit.coalition import (
     StochasticGame,
-    build_projection,
     enumerate_coalitions,
     exact_ssv,
     sample_coalitions,
@@ -135,6 +135,23 @@ class TestDesignConstruction:
         )
         assert total == pytest.approx(expected)
 
+    def test_rows_of_z_are_the_mask_bits(self):
+        for design in (enumerate_coalitions(5), sample_coalitions(25, 400, seed=0)):
+            for row, c in zip(design.Z, design.coalitions):
+                assert row.tolist() == [float(c.mask >> i & 1) for i in range(design.d)]
+
+    def test_memory_is_linear_in_the_coalition_count(self):
+        # the constraint elimination must not form an ell x ell (or
+        # (ell - 2) x ell) matrix: at ell = 4,096 one such array is 134 MB
+        for build in (lambda: sample_coalitions(20, 3000), lambda: enumerate_coalitions(12)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6
+
     def test_digest_distinguishes_designs(self):
         assert (
             sample_coalitions(5, 12, seed=1).digest()
@@ -154,12 +171,13 @@ class TestProjection:
         np.testing.assert_allclose(design.A, [[-1.0, 1.0]], atol=1e-12)
 
     def test_efficiency_rows_sum_to_delta(self, rng):
-        for d in (2, 3, 5):
-            design = enumerate_coalitions(d)
+        designs = [enumerate_coalitions(d) for d in (1, 2, 3, 5, 10, 12)] + [
+            sample_coalitions(2, 2), sample_coalitions(20, 3000), sample_coalitions(25, 400)]
+        for design in designs:
             col = design.A.sum(axis=0)
             expected = np.zeros(design.n_coalitions)
             expected[0], expected[-1] = -1.0, 1.0
-            np.testing.assert_allclose(col, expected, atol=1e-10)
+            np.testing.assert_allclose(col, expected, rtol=0, atol=1e-14)
 
     def test_empty_constraint_is_interpolated(self):
         # shifting all payoffs by a constant leaves attributions unchanged
@@ -171,14 +189,12 @@ class TestProjection:
 
     def test_minimal_design_equal_split(self):
         # only the two boundary coalitions: ridge limit splits delta equally
-        A = build_projection(
-            np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros(2)
-        )
-        np.testing.assert_allclose(A, [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-12)
+        design = sample_coalitions(2, 2)
+        np.testing.assert_allclose(design.A, [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_full_enumeration_matches_direct_formula(self, rng):
         # on a full design the WLS projection IS the Shapley operator
-        for d in (2, 3, 4, 6):
+        for d in (2, 3, 4, 6, 9, 10, 12):
             design = enumerate_coalitions(d)
             C = coalition._marginal_coefficients(design)
             np.testing.assert_allclose(design.A, C, atol=1e-9)

@@ -243,8 +243,8 @@ class TestCredibleIntervalsAndExport:
     def test_interval_width_is_z_times_sd(self, setup):
         post, data, design = setup
         batch = explain.bayesgpshap(post, design, data.X[:3])
-        lo, hi = explain.credible_intervals(batch, 0.95)
         sds = batch.stds()
+        lo, hi = explain.credible_intervals(batch.means, sds, 0.95)
         np.testing.assert_allclose(hi - lo, 2 * 1.959963984540054 * sds, atol=1e-9)
         np.testing.assert_allclose((hi + lo) / 2, batch.means, atol=1e-12)
 
@@ -256,7 +256,7 @@ class TestCredibleIntervalsAndExport:
         sds = batch.stds()
         for level in np.r_[np.linspace(0.001, 0.999, 37), 0.5, 0.9, 0.95, 0.99, 1 - 1e-12]:
             z = float(stats.norm.ppf(0.5 * (1.0 + level)))
-            lo, hi = explain.credible_intervals(batch, level)
+            lo, hi = explain.credible_intervals(batch.means, sds, level)
             np.testing.assert_array_equal(lo, batch.means - z * sds)
             np.testing.assert_array_equal(hi, batch.means + z * sds)
 
@@ -264,7 +264,7 @@ class TestCredibleIntervalsAndExport:
         post, data, design = setup
         batch = explain.gpshap(post, design, data.X[:1])
         with pytest.raises(ValueError):
-            explain.credible_intervals(batch, 1.0)
+            explain.credible_intervals(batch.means, batch.stds(), 1.0)
 
     def test_json_export_fields(self, setup):
         post, data, design = setup

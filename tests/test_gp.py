@@ -100,9 +100,13 @@ class TestFitExact:
         )
 
     def test_noise_must_be_positive(self, small_data):
+        # log_marginal_likelihood used to return a value at -1e-9 and raise
+        # JitterExceeded at -0.5
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
-        with pytest.raises(ValueError):
-            gp.fit_exact(small_data, params, noise=0.0)
+        for noise in (0.0, -1e-9, -0.5):
+            for call in (gp.fit_exact, gp.log_marginal_likelihood):
+                with pytest.raises(ValueError, match=f"noise must be positive and finite, got {noise!r}"):
+                    call(small_data, params, noise=noise)
 
     def test_factors_once_and_matches_two_regularized_solves(self, small_data,
                                                              count_cholesky):
@@ -145,9 +149,9 @@ class TestFitExact:
     @pytest.mark.parametrize("noise", [np.inf, np.nan])
     def test_non_finite_noise_is_rejected(self, small_data, noise):
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise must be positive and finite"):
             gp.fit_exact(small_data, params, noise=noise)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise must be positive and finite"):
             gp.log_marginal_likelihood(small_data, params, noise=noise)
 
     def test_json_roundtrip(self, small_data):
@@ -339,8 +343,8 @@ class TestGramReuse:
 
     def test_callers_gram_is_restored_when_the_factorization_fails(self, small_data):
         params, _ = gp.default_grid(small_data)[0]
-        K = kernels.gram(params, kernels.FeatureSubset.full(3), small_data.X, small_data.X)
+        K = -kernels.gram(params, kernels.FeatureSubset.full(3), small_data.X, small_data.X)
         before = K.tobytes()
-        with pytest.raises(JitterExceeded):  # a unit diagonal minus 1 is indefinite
-            gp.log_marginal_likelihood(small_data, params, -1.0, gram=K)
+        with pytest.raises(JitterExceeded):  # a diagonal of -1 plus 0.5 is indefinite
+            gp.log_marginal_likelihood(small_data, params, 0.5, gram=K)
         assert K.tobytes() == before

@@ -19,7 +19,6 @@ class TestFeatureSubset:
         s = FeatureSubset.from_indices([0, 2], 3)
         assert s.mask == 0b101
         np.testing.assert_array_equal(s.indices(), [0, 2])
-        np.testing.assert_array_equal(s.binary_vector(), [1, 0, 1])
 
     def test_bounds(self):
         with pytest.raises(ValueError):
