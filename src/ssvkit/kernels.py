@@ -18,6 +18,8 @@ from .errors import DimensionMismatch, TooFewPoints
 MAX_MASK_WIDTH = 30
 # bound on |a|^2 + |b|^2 under which no step of the gram's expansion overflows
 NORM_LIMIT = np.finfo(float).max / 4
+# rows median_heuristic reads at most: n(n-1)/2 pair distances, 4.0 MB
+MEDIAN_MAX_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,18 @@ def median_heuristic(X: np.ndarray) -> np.ndarray:
     Dimensions whose median distance is zero (constant or near-constant
     columns) fall back to a lengthscale of 1.0.  On a sorted column the
     pairwise distances are the gaps ``xs[k:] - xs[:-k]``, k = 1..n-1; they
-    fill one buffer of n(n-1)/2 entries, reused across columns.
+    fill one buffer of n(n-1)/2 entries, reused across columns.  Above
+    ``MEDIAN_MAX_ROWS`` rows only that many evenly spaced rows are read
+    (row ``k * n // MEDIAN_MAX_ROWS`` for each k), so the buffer stays
+    below 4 MB and the result is still deterministic.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if n < 2:
         raise TooFewPoints("median heuristic needs at least two points")
+    if n > MEDIAN_MAX_ROWS:
+        X = X[np.arange(MEDIAN_MAX_ROWS) * n // MEDIAN_MAX_ROWS]
+        n = MEDIAN_MAX_ROWS
     diffs = np.empty(n * (n - 1) // 2)
     out = np.empty(d)
     for u in range(d):

@@ -3,6 +3,12 @@
 All gram and covariance matrices in this package are symmetric and at
 least positive semi-definite up to floating point noise, so every solve
 routes through a jittered Cholesky factorization.
+
+``cholesky_psd`` checks its input for non-finite entries once and returns
+a Fortran-ordered factor, so ``CholeskyFactor.solve`` neither rescans nor
+copies it.  The solve works on the right-hand side in its own layout: a
+vector or a column-major matrix is solved from the left, any other matrix
+from the right on its transpose, with no transposing copy.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
 from .errors import JitterExceeded
 
@@ -27,8 +34,37 @@ class CholeskyFactor:
     jitter_used: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (L L^T) x = rhs."""
-        return linalg.cho_solve((self.lower, True), rhs)
+        """Solve (L L^T) x = rhs by two triangular solves on one copy of rhs.
+
+        A vector or a column-major rhs is solved from the left, L y = rhs
+        then L^T x = y, exactly as LAPACK's ``potrs``.  Any other rhs is
+        copied row-major (for a row-major rhs a plain copy, not a
+        transposing one) and solved from the right on the copy's
+        column-major transpose, x^T = rhs^T L^-T L^-1, so x comes back
+        row-major.  Only rhs is checked for non-finite entries here; the
+        factor was checked once, when ``cholesky_psd`` built it.  rhs is
+        never modified.
+
+        Raises
+        ------
+        ValueError
+            If rhs is not finite or its row count differs from the factor's.
+        """
+        b = np.asarray(rhs, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != self.lower.shape[0]:
+            raise ValueError(f"rhs has shape {b.shape}, expected a vector or a matrix "
+                             f"with {self.lower.shape[0]} rows")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("rhs contains non-finite entries")
+        # one numpy copy of rhs in the layout its solve reads (faster than
+        # letting f2py copy it); both dtrsm calls then work in place
+        L = self.lower
+        if b.ndim == 1 or b.flags.f_contiguous:
+            x = blas.dtrsm(1.0, L, np.array(b, order="F"), lower=1, overwrite_b=1)
+            return blas.dtrsm(1.0, L, x, lower=1, trans_a=1, overwrite_b=1)
+        xt = np.array(b, order="C").T
+        xt = blas.dtrsm(1.0, L, xt, side=1, lower=1, trans_a=1, overwrite_b=1)
+        return blas.dtrsm(1.0, L, xt, side=1, lower=1, overwrite_b=1).T
 
     def logdet(self) -> float:
         """Log-determinant of the factored matrix."""

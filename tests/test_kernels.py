@@ -175,3 +175,27 @@ class TestMedianHeuristic:
             tracemalloc.stop()
         # one float buffer of n(n-1)/2 pair distances is 4.0 MB
         assert peak < 5e6
+
+    def test_memory_is_capped_above_the_row_cap(self):
+        import tracemalloc
+
+        X = np.random.default_rng(7).normal(size=(4000, 6))
+        tracemalloc.start()
+        try:
+            median_heuristic(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 4,000 rows would be a 64 MB buffer of pair distances
+        assert peak < 5e6
+
+    def test_above_the_cap_reads_evenly_spaced_rows(self):
+        from ssvkit.kernels import MEDIAN_MAX_ROWS
+
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(4 * MEDIAN_MAX_ROWS + 3, 2))
+        rows = X[np.arange(MEDIAN_MAX_ROWS) * X.shape[0] // MEDIAN_MAX_ROWS]
+        assert len(np.unique(rows, axis=0)) == MEDIAN_MAX_ROWS
+        np.testing.assert_array_equal(median_heuristic(X), self._pairwise_median(rows))
+        X = X[:MEDIAN_MAX_ROWS]                     # at the cap every row is read
+        np.testing.assert_array_equal(median_heuristic(X), self._pairwise_median(X))
