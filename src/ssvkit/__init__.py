@@ -25,7 +25,7 @@ from .explain import (
     gpshap,
 )
 from .gp import Dataset, GPPosterior, fit_exact, select_hyperparameters, select_inducing
-from .kernels import FeatureSubset, KernelParams, gram, median_heuristic
+from .kernels import KernelParams, gram, median_heuristic
 from .shapley_prior import ExplanationDataset, ShapleyPriorModel
 
 __version__ = "0.1.0"
@@ -40,6 +40,6 @@ __all__ = [
     "bayesgpshap", "bayesshap_deterministic", "credible_intervals", "gpshap",
     "Dataset", "GPPosterior", "fit_exact", "select_hyperparameters",
     "select_inducing",
-    "FeatureSubset", "KernelParams", "gram", "median_heuristic",
+    "KernelParams", "gram", "median_heuristic",
     "ExplanationDataset", "ShapleyPriorModel",
 ]

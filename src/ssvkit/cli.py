@@ -60,6 +60,8 @@ def _read_csv_matrix(path: str, target: str | None = None, text: str | None = No
         if target not in header:
             raise ValueError(f"target column {target!r} not found in {path}")
         t_idx = header.index(target)
+        if len(header) == 1:
+            raise ValueError(f"{path} has no feature column besides the target {target!r}")
     data, y = [], []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels, numerics
 from .coalition import CoalitionDesign, StochasticGame
-from .errors import DesignMismatch
+from .errors import DesignMismatch, DimensionMismatch
 from .gp import GPPosterior
 from .kernels import FeatureSubset, KernelParams
 from .numerics import CholeskyFactor
@@ -49,16 +49,15 @@ def default_lambda(n_inducing: int) -> float:
 CHUNK_ENTRIES = 1 << 20
 
 
-def _coalition_factor(kernel: KernelParams, subset: FeatureSubset, rows: np.ndarray,
+def _coalition_factor(kernel: KernelParams, mask: int, rows: np.ndarray,
                       lam: float) -> CholeskyFactor:
     """Cholesky factor of K_S + lambda*I over the embedding rows."""
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-    return numerics.cholesky_psd(kernels.gram(kernel, subset, rows, rows), shift=lam)
+    return numerics.cholesky_psd(kernels.gram(kernel, mask, rows, rows), shift=lam)
 
 
-def _weight_chunks(kernel: KernelParams, rows: np.ndarray,
-                   coalitions: tuple[FeatureSubset, ...],
+def _weight_chunks(kernel: KernelParams, rows: np.ndarray, masks: np.ndarray,
                    factors: Iterable[CholeskyFactor],
                    X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(lo, B(X)[lo:lo + c])`` for successive blocks of c coalitions.
@@ -72,30 +71,28 @@ def _weight_chunks(kernel: KernelParams, rows: np.ndarray,
     """
     m, n = rows.shape[0], X.shape[0]
     step = max(1, CHUNK_ENTRIES // max(m * n, 1))
-    buffer = np.empty((min(step, len(coalitions)), m, n))
+    buffer = np.empty((min(step, len(masks)), m, n))
     factors = iter(factors)
-    for lo in range(0, len(coalitions), step):
-        chunk = coalitions[lo:lo + step]
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo:lo + step]
         block = buffer[:len(chunk)]
-        for j, (subset, factor) in enumerate(zip(chunk, factors)):
-            block[j] = factor.solve(kernels.gram(kernel, subset, rows, X))
+        for j, (mask, factor) in enumerate(zip(chunk, factors)):
+            block[j] = factor.solve(kernels.gram(kernel, mask, rows, X))
         yield lo, block
 
 
-def _solve_all(kernel: KernelParams, rows: np.ndarray,
-               coalitions: tuple[FeatureSubset, ...], factors: Iterable[CholeskyFactor],
-               X: np.ndarray) -> np.ndarray:
+def _solve_all(kernel: KernelParams, rows: np.ndarray, masks: np.ndarray,
+               factors: Iterable[CholeskyFactor], X: np.ndarray) -> np.ndarray:
     """B(X), shape (n_coalitions, m, n), from one factor per coalition."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.empty((len(coalitions), rows.shape[0], X.shape[0]))
-    for lo, block in _weight_chunks(kernel, rows, coalitions, factors, X):
+    out = np.empty((len(masks), rows.shape[0], X.shape[0]))
+    for lo, block in _weight_chunks(kernel, rows, masks, factors, X):
         out[lo:lo + len(block)] = block
     return out
 
 
 def _project_all(A: np.ndarray, kernel: KernelParams, rows: np.ndarray,
-                 coalitions: tuple[FeatureSubset, ...], factors: Iterable[CholeskyFactor],
-                 X: np.ndarray,
+                 masks: np.ndarray, factors: Iterable[CholeskyFactor], X: np.ndarray,
                  mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """A.B(X), shape (n, d, m), summed block by block; B(X) is never whole.
 
@@ -105,8 +102,8 @@ def _project_all(A: np.ndarray, kernel: KernelParams, rows: np.ndarray,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d, m, n = A.shape[0], rows.shape[0], X.shape[0]
     P = np.zeros((d, m * n))
-    E = None if mean is None else np.empty((len(coalitions), n))
-    for lo, block in _weight_chunks(kernel, rows, coalitions, factors, X):
+    E = None if mean is None else np.empty((len(masks), n))
+    for lo, block in _weight_chunks(kernel, rows, masks, factors, X):
         hi = lo + len(block)
         P += A[:, lo:hi] @ block.reshape(hi - lo, m * n)
         if E is not None:
@@ -120,7 +117,7 @@ def _project_all(A: np.ndarray, kernel: KernelParams, rows: np.ndarray,
 class CoalitionEmbedding:
     """Per-coalition factors of K_S + lambda*I over fixed embedding rows.
 
-    ``factors[j]`` belongs to ``design.coalitions[j]``.  Mapping inputs
+    ``factors[j]`` belongs to ``design.masks[j]``.  Mapping inputs
     only builds k_S(rows, X) and back-substitutes; it never factors.
     """
 
@@ -131,19 +128,19 @@ class CoalitionEmbedding:
 
     def weights(self, X: np.ndarray) -> np.ndarray:
         """B(X): CME weights, shape (n_coalitions, m, n)."""
-        return _solve_all(self.kernel, self.rows, self.design.coalitions, self.factors, X)
+        return _solve_all(self.kernel, self.rows, self.design.masks, self.factors, X)
 
     def projected(self, X: np.ndarray) -> np.ndarray:
         """A.B(X): projected embedding maps, shape (n, d, m)."""
         return _project_all(self.design.A, self.kernel, self.rows,
-                            self.design.coalitions, self.factors, X)[0]
+                            self.design.masks, self.factors, X)[0]
 
 
 def coalition_embedding(kernel: KernelParams, rows: np.ndarray, design: CoalitionDesign,
                         lam: float) -> CoalitionEmbedding:
     """Factor K_S + lambda*I once for every coalition of ``design``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    factors = tuple(_coalition_factor(kernel, c, rows, lam) for c in design.coalitions)
+    factors = tuple(_coalition_factor(kernel, mask, rows, lam) for mask in design.masks)
     return CoalitionEmbedding(kernel=kernel, rows=rows, design=design, factors=factors)
 
 
@@ -179,9 +176,11 @@ class EmbeddingBatch:
 def embedding_weights(posterior: GPPosterior, subset: FeatureSubset,
                       X_explain: np.ndarray, lam: float) -> EmbeddingWeights:
     """CME weight columns for one coalition at a batch of instances."""
+    if subset.d != posterior.d:
+        raise DimensionMismatch("subset and posterior disagree on feature count")
     Xi = posterior.inducing_points
-    factor = _coalition_factor(posterior.kernel, subset, Xi, lam)
-    weights = _solve_all(posterior.kernel, Xi, (subset,), (factor,), X_explain)[0]
+    factor = _coalition_factor(posterior.kernel, subset.mask, Xi, lam)
+    weights = _solve_all(posterior.kernel, Xi, [subset.mask], [factor], X_explain)[0]
     return EmbeddingWeights(coalition=subset, weights=weights)
 
 
@@ -201,8 +200,8 @@ def _one_batch(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.nd
         raise DesignMismatch("posterior and design disagree on feature count")
     if lam is None:
         lam = default_lambda(posterior.n_inducing)
-    factors = (_coalition_factor(posterior.kernel, c, posterior.inducing_points, lam)
-               for c in design.coalitions)
+    factors = (_coalition_factor(posterior.kernel, mask, posterior.inducing_points, lam)
+               for mask in design.masks)
     return X_explain, factors
 
 
@@ -210,7 +209,7 @@ def embedding_batch(posterior: GPPosterior, design: CoalitionDesign,
                     X_explain: np.ndarray, lam: float | None = None) -> EmbeddingBatch:
     """Embedding weights for every coalition in a design, as one tensor."""
     X_explain, factors = _one_batch(posterior, design, X_explain, lam)
-    weights = _solve_all(posterior.kernel, posterior.inducing_points, design.coalitions,
+    weights = _solve_all(posterior.kernel, posterior.inducing_points, design.masks,
                          factors, X_explain)
     return EmbeddingBatch(design=design, X_explain=X_explain, weights=weights)
 
@@ -225,7 +224,7 @@ def projected_batch(posterior: GPPosterior, design: CoalitionDesign,
     """
     X_explain, factors = _one_batch(posterior, design, X_explain, lam)
     return _project_all(design.A, posterior.kernel, posterior.inducing_points,
-                        design.coalitions, factors, X_explain, posterior.mean_at_inducing)
+                        design.masks, factors, X_explain, posterior.mean_at_inducing)
 
 
 def game_moments(posterior: GPPosterior, batch: EmbeddingBatch) -> list[StochasticGame]:

@@ -10,7 +10,7 @@ is built in O(ell * d) memory: no ell x ell matrix is ever formed.
 
 from __future__ import annotations
 
-from collections import Counter
+import hashlib
 from dataclasses import dataclass
 from math import comb, fsum
 
@@ -24,9 +24,10 @@ from .errors import (
     JitterExceeded,
     SingularSystem,
 )
-from .kernels import FeatureSubset
 
 ENUMERATION_CAP = 20
+# most features a sampled design takes; its masks are int64
+MAX_MASK_WIDTH = 30
 ORACLE_CAP = 12
 PROJECTION_JITTER = 1e-10
 
@@ -44,14 +45,16 @@ def shapley_kernel_weight(d: int, s: int) -> float:
 class CoalitionDesign:
     """An ordered set of coalitions with its constrained-WLS projection.
 
-    Coalitions are sorted by (size, mask value), so the empty coalition is
-    first and the grand coalition last.  ``weights`` holds the finite
+    ``masks`` (int64, bit u set when feature u plays) is sorted by
+    (size, mask value), so the empty coalition is first and the grand
+    coalition last; row j of every per-coalition array belongs to
+    ``masks[j]``.  ``weights`` holds the finite
     Shapley-kernel weight per coalition with zeros at the two boundary rows
     (their infinite weights live in the equality constraints).
     """
 
     d: int
-    coalitions: tuple[FeatureSubset, ...]
+    masks: np.ndarray
     Z: np.ndarray
     weights: np.ndarray
     A: np.ndarray
@@ -59,7 +62,7 @@ class CoalitionDesign:
 
     @property
     def n_coalitions(self) -> int:
-        return len(self.coalitions)
+        return len(self.masks)
 
     @property
     def interior(self) -> np.ndarray:
@@ -70,8 +73,9 @@ class CoalitionDesign:
         return self.n_coalitions == (1 << self.d)
 
     def digest(self) -> str:
-        masks = ",".join(str(c.mask) for c in self.coalitions)
-        return f"d={self.d};masks={masks}"
+        """SHA-256 hex of d and the masks, each as little-endian int64 bytes."""
+        data = np.concatenate(([self.d], self.masks)).astype("<i8").tobytes()
+        return hashlib.sha256(data).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class StochasticGame:
             raise ValueError("payoff moments do not match the design size")
 
 
-def _design_from_masks(d: int, masks: list[int]) -> CoalitionDesign:
+def _design_from_masks(d: int, masks: np.ndarray) -> CoalitionDesign:
     """The design over ``masks`` with its constrained-WLS projection A (d x ell).
 
     A minimizes the weighted squared residuals of the interior coalitions
@@ -104,13 +108,15 @@ def _design_from_masks(d: int, masks: list[int]) -> CoalitionDesign:
     SingularSystem
         If the reduced system is rank deficient beyond a 1e-10 jitter.
     """
-    counts = Counter(masks)
-    ordered = sorted(counts, key=lambda m: (m.bit_count(), m))
-    ell = len(ordered)
-    Z = ((np.array(ordered, dtype=np.int64)[:, None] >> np.arange(d)) & 1).astype(float)
     # duplicates from with-replacement sampling merge by summing weights
+    masks, counts = np.unique(np.asarray(masks, dtype=np.int64), return_counts=True)
+    Z = ((masks[:, None] >> np.arange(d)) & 1).astype(float)
+    sizes = Z.sum(axis=1).astype(int)
+    order = np.lexsort((masks, sizes))
+    masks, Z = masks[order], Z[order]
+    ell = len(masks)
     per_size = np.array([0.0] + [shapley_kernel_weight(d, s) for s in range(1, d)] + [0.0])
-    weights = np.array([counts[m] for m in ordered]) * per_size[[m.bit_count() for m in ordered]]
+    weights = counts[order] * per_size[sizes[order]]
 
     # Efficiency rows: 1^T A v = v_full - v_empty regardless of interior fit.
     delta = np.zeros(ell)
@@ -135,8 +141,7 @@ def _design_from_masks(d: int, masks: list[int]) -> CoalitionDesign:
         mu_row = (np.ones(d) @ HinvG - delta) / float(np.ones(d) @ h1)
         A = HinvG - np.outer(h1, mu_row)
     return CoalitionDesign(
-        d=d, coalitions=tuple(FeatureSubset(m, d) for m in ordered), Z=Z,
-        weights=weights, A=A, ZtWZ_interior=H,
+        d=d, masks=masks, Z=Z, weights=weights, A=A, ZtWZ_interior=H,
     )
 
 
@@ -144,17 +149,19 @@ def enumerate_coalitions(d: int) -> CoalitionDesign:
     """All 2^d coalitions ordered by (size, mask value)."""
     if not (1 <= d <= ENUMERATION_CAP):
         raise DimensionTooLarge(f"full enumeration supports d <= {ENUMERATION_CAP}")
-    return _design_from_masks(d, list(range(1 << d)))
+    return _design_from_masks(d, np.arange(1 << d))
 
 
 def sample_coalitions(d: int, count: int, seed: int = 0) -> CoalitionDesign:
     """Uniformly sampled coalitions, always including the two boundary ones.
 
-    For d <= 20 the interior coalitions are sampled without replacement;
-    beyond that they are sampled with replacement and duplicates are merged
-    (their Shapley-kernel weights coincide anyway, and the merge keeps the
-    WLS system well posed).
+    Takes 1 <= d <= MAX_MASK_WIDTH.  For d <= 20 the interior coalitions
+    are sampled without replacement; beyond that they are sampled with
+    replacement and duplicates are merged (their Shapley-kernel weights
+    coincide anyway, and the merge keeps the WLS system well posed).
     """
+    if not (1 <= d <= MAX_MASK_WIDTH):
+        raise DimensionTooLarge(f"sampled designs support d <= {MAX_MASK_WIDTH}, got d={d}")
     if count < 2:
         raise CountOutOfRange("need at least the empty and grand coalitions")
     rng = np.random.default_rng(seed)
@@ -162,12 +169,10 @@ def sample_coalitions(d: int, count: int, seed: int = 0) -> CoalitionDesign:
         n_interior = (1 << d) - 2
         if count > (1 << d):
             raise CountOutOfRange(f"cannot sample {count} distinct coalitions for d={d}")
-        picked = rng.choice(n_interior, size=count - 2, replace=False) + 1
-        masks = [0, (1 << d) - 1] + [int(m) for m in picked]
+        interior = rng.choice(n_interior, size=count - 2, replace=False) + 1
     else:
-        draws = rng.integers(1, (1 << d) - 1, size=count - 2, dtype=np.int64)
-        masks = [0, (1 << d) - 1] + [int(m) for m in draws]
-    return _design_from_masks(d, masks)
+        interior = rng.integers(1, (1 << d) - 1, size=count - 2, dtype=np.int64)
+    return _design_from_masks(d, np.concatenate(([0, (1 << d) - 1], interior)))
 
 
 def _marginal_coefficients(design: CoalitionDesign) -> np.ndarray:
@@ -178,7 +183,8 @@ def _marginal_coefficients(design: CoalitionDesign) -> np.ndarray:
     payoff vector evaluates the marginal sum exactly.
     """
     d = design.d
-    pos = {c.mask: j for j, c in enumerate(design.coalitions)}
+    pos = np.empty(1 << d, dtype=int)          # row of each mask
+    pos[design.masks] = np.arange(design.n_coalitions)
     C = np.zeros((d, design.n_coalitions))
     coeff = [1.0 / (d * comb(d - 1, s)) for s in range(d)]
     for i in range(d):

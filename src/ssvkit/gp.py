@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels, numerics
 from .errors import CountOutOfRange
-from .kernels import FeatureSubset, KernelParams
+from .kernels import KernelParams
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
         inducing = np.arange(data.n)
     inducing = np.asarray(inducing, dtype=int)
 
-    K = kernels.gram(kernel, FeatureSubset.full(data.d), data.X, data.X)
+    K = kernels.gram(kernel, (1 << data.d) - 1, data.X, data.X)
     K_ix, K_ii = K[inducing], K[np.ix_(inducing, inducing)]
     factor = numerics.cholesky_psd(K, shift=noise)
     return GPPosterior(
@@ -193,12 +193,12 @@ def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float,
                             gram: Optional[np.ndarray] = None) -> float:
     """Exact GP log marginal likelihood of the training targets.
 
-    ``gram``, when given, must be ``kernels.gram(kernel, full, X, X)``; it
+    ``gram``, when given, must be ``kernels.gram(kernel, (1 << d) - 1, X, X)``; it
     is only read, so a caller can reuse it for other noise levels.
     """
     _require_noise(noise)
     if gram is None:
-        gram = kernels.gram(kernel, FeatureSubset.full(data.d), data.X, data.X)
+        gram = kernels.gram(kernel, (1 << data.d) - 1, data.X, data.X)
     factor = numerics.cholesky_psd(gram, shift=noise)
     alpha = factor.solve(data.y)
     return float(
@@ -225,7 +225,7 @@ def select_hyperparameters(
     """
     if not grid:
         raise ValueError("hyperparameter grid must be non-empty")
-    full = FeatureSubset.full(data.d)
+    full = (1 << data.d) - 1
     best, best_ll = None, -np.inf
     K, K_params = None, None
     for params, noise in grid:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooFewPoints
 
-MAX_MASK_WIDTH = 30
 # bound on |a|^2 + |b|^2 under which no step of the gram's expansion overflows
 NORM_LIMIT = np.finfo(float).max / 4
 # rows median_heuristic reads at most: n(n-1)/2 pair distances, 4.0 MB
@@ -50,8 +49,8 @@ class FeatureSubset:
     d: int
 
     def __post_init__(self):
-        if not (1 <= self.d <= MAX_MASK_WIDTH):
-            raise ValueError(f"feature count must be in [1, {MAX_MASK_WIDTH}]")
+        if self.d < 1:
+            raise ValueError("feature count must be at least 1")
         if not (0 <= self.mask < (1 << self.d)):
             raise ValueError("mask out of range for feature count")
 
@@ -63,25 +62,12 @@ class FeatureSubset:
     def full(cls, d: int) -> "FeatureSubset":
         return cls((1 << d) - 1, d)
 
-    @classmethod
-    def from_indices(cls, indices, d: int) -> "FeatureSubset":
-        mask = 0
-        for i in indices:
-            mask |= 1 << int(i)
-        return cls(mask, d)
 
-    def indices(self) -> np.ndarray:
-        return np.array([i for i in range(self.d) if self.mask >> i & 1], dtype=int)
-
-    def size(self) -> int:
-        return int(self.mask).bit_count()
-
-
-def gram(params: KernelParams, subset: FeatureSubset, A: np.ndarray,
-         B: np.ndarray) -> np.ndarray:
+def gram(params: KernelParams, mask: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Coalition-restricted ARD RBF gram matrix between rows of A and B.
 
-    Entry (i, j) is ``variance * exp(-0.5 * sum_{u in subset}
+    ``mask`` is an int whose bit u selects feature u; ``(1 << d) - 1`` is
+    the full gram.  Entry (i, j) is ``variance * exp(-0.5 * sum_{u in mask}
     (A[i,u]-B[j,u])^2 / ls[u]^2)``; the empty coalition yields the all-ones
     matrix (times nothing: the output scale is deliberately dropped there so
     the empty-coalition weights reduce to a plain average).
@@ -92,9 +78,11 @@ def gram(params: KernelParams, subset: FeatureSubset, A: np.ndarray,
         raise DimensionMismatch(
             f"inputs have {A.shape[1]}/{B.shape[1]} columns, kernel expects {params.dim}"
         )
-    if subset.d != params.dim:
-        raise DimensionMismatch("subset and kernel disagree on feature count")
-    idx = subset.indices()
+    mask = int(mask)        # a Python int, so any feature count fits
+    if mask < 0 or mask >> params.dim:
+        raise DimensionMismatch(f"mask {mask} sets a bit at or above the kernel's "
+                                f"{params.dim} features")
+    idx = np.array([u for u in range(params.dim) if mask >> u & 1], dtype=int)
     if idx.size == 0:
         return np.ones((A.shape[0], B.shape[0]))
     ls = params.lengthscales[idx]

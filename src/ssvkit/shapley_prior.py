@@ -97,8 +97,7 @@ def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
         raise ValueError(f"noise must be positive and finite, got {noise!r}")
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n, d, m = data.n, data.d, anchors.shape[0]
-    full = kernels.FeatureSubset.full(d)
-    anchor_factor = numerics.cholesky_psd(kernels.gram(kernel, full, anchors, anchors))
+    anchor_factor = numerics.cholesky_psd(kernels.gram(kernel, (1 << d) - 1, anchors, anchors))
     L = anchor_factor.lower
     embedding = cme.coalition_embedding(kernel, anchors, design, lam)
     F = embedding.projected(data.X).reshape(n * d, m)

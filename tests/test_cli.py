@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import re
 import shutil
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +85,35 @@ class TestFit:
     def test_missing_file_exits_2(self, workdir):
         res = run_cli(["fit", "--data", "absent.csv", "--target", "t"], workdir)
         assert res.returncode == 2
+
+    @staticmethod
+    def fit_wide(path, d):
+        """Fit a posterior on 12 rows of d features; instances.csv holds 3 of them."""
+        X = np.random.default_rng(d).normal(size=(12, d))
+        header = ",".join(f"x{i}" for i in range(d))
+        rows = [",".join(repr(float(v)) for v in row) for row in X]
+        (path / "wide.csv").write_text(
+            "\n".join([header + ",t"] + [r + f",{float(x[0])!r}" for r, x in zip(rows, X)])
+            + "\n")
+        (path / "instances.csv").write_text("\n".join([header] + rows[:3]) + "\n")
+        return run_cli(["fit", "--data", "wide.csv", "--target", "t", "--inducing", "6",
+                        "-o", "posterior.json"], path)
+
+    @pytest.mark.parametrize("d", [31, 70])
+    def test_any_feature_count(self, tmp_path, d):
+        # the full gram's mask (1 << d) - 1 is wider than any coalition design's
+        res = self.fit_wide(tmp_path, d)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads((tmp_path / "posterior.json").read_text())
+        assert np.asarray(doc["inducing_points"]).shape == (6, d)
+        assert f"d={d} " in res.stdout
+
+    def test_sampled_design_beyond_30_features_exits_2(self, tmp_path):
+        assert self.fit_wide(tmp_path, 31).returncode == 0
+        res = run_cli(["explain", "--posterior", "posterior.json",
+                       "--instances", "instances.csv", "--coalitions", "50"], tmp_path)
+        assert_one_line_input_error(res)
+        assert "--coalitions 50" in res.stderr and "30" in res.stderr
 
 
 class TestExplain:
@@ -254,6 +286,8 @@ class TestInputBoundary:
          "count must be in [1, 40]"),
         ({"bad.csv": "a,b,t\n1.0,2.0,3.0\n"}, ["fit", "--data", "bad.csv", "--target", "t"],
          "at least two points"),
+        ({"y_only.csv": "y\n1.0\n2.0\n3.0\n"}, ["fit", "--data", "y_only.csv", "--target", "y"],
+         "y_only.csv has no feature column besides the target 'y'"),
         ({"big.csv": "x,t\n0.0,1e200\n1.0,3e199\n2.0,1e200\n3.0,3e199\n4.0,1e200\n"},
          ["fit", "--data", "big.csv", "--target", "t"], "the target's variance overflows"),
         ({}, EXPLAIN + ["--lam", "-1"], "lambda must be positive"),
@@ -303,7 +337,7 @@ class TestInputBoundary:
          "noise_fractions must be positive and finite, got nan"),
         ({}, ["fit", "--data", "train.csv", "--target", "target", "--ls-multipliers", "1,0"],
          "ls_multipliers must be positive and finite, got 0.0"),
-    ], ids=["fit-inducing-0", "fit-one-row", "fit-target-variance-overflows",
+    ], ids=["fit-inducing-0", "fit-one-row", "fit-no-features", "fit-target-variance-overflows",
             "lam-negative", "lam-0", "lam-nan",
             "ell0-nan", "ell0-sigma0-negative", "ell0-below-minus-ell", "sigma0-inf",
             "coalitions-above-2^d", "output-dir-missing", "sparsity-1.5", "prefix-dir-missing",
@@ -565,3 +599,28 @@ class TestSelftest:
         assert res.returncode == 1
         assert "[FAIL] projection-vs-brute-force-oracle" in res.stdout
 
+
+class TestBenchmarkChecks:
+    """The benchmark's output checks, loaded by path from perfbench/checks.py,
+    pass on a small session: a name they use that the package lost would
+    otherwise first show up as a failed benchmark run."""
+
+    @staticmethod
+    def load_checks():
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+        spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_fit_and_full_explain_pass(self, workdir):
+        fitted(workdir)
+        shutil.copy(workdir / "instances.csv", workdir / "explain.csv")
+        res = run_cli(["explain", "--posterior", "posterior.json", "--instances", "explain.csv",
+                       "--algo", "bayesgpshap", "--coalitions", "full",
+                       "-o", "explanations.json"], workdir)
+        assert res.returncode == 0, res.stderr
+        checks = self.load_checks()
+        w = SimpleNamespace(d=3, inducing=25, coalitions="full")
+        assert checks.check_fit(workdir, w) == []
+        assert checks.check_explain(workdir, w) == []

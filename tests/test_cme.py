@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssvkit import cme, coalition, gp, kernels, numerics
-from ssvkit.errors import DesignMismatch
+from ssvkit.errors import DesignMismatch, DimensionMismatch
 from ssvkit.kernels import FeatureSubset
 
 from conftest import fit_synthetic_posterior
@@ -47,14 +47,18 @@ class TestEmbeddingWeights:
 
     def test_matches_direct_solve(self, posterior):
         post, data = posterior
-        subset = FeatureSubset.from_indices([0, 2], 3)
         lam = 0.05
-        w = cme.embedding_weights(post, subset, data.X[:3], lam)
+        w = cme.embedding_weights(post, FeatureSubset(0b101, 3), data.X[:3], lam)
         Xi = post.inducing_points
-        K_s = kernels.gram(post.kernel, subset, Xi, Xi)
-        k_sx = kernels.gram(post.kernel, subset, Xi, data.X[:3])
+        K_s = kernels.gram(post.kernel, 0b101, Xi, Xi)
+        k_sx = kernels.gram(post.kernel, 0b101, Xi, data.X[:3])
         direct = np.linalg.solve(K_s + lam * np.eye(Xi.shape[0]), k_sx)
         np.testing.assert_allclose(w.weights, direct, atol=1e-8)
+
+    def test_subset_feature_count_must_match(self, posterior):
+        post, data = posterior
+        with pytest.raises(DimensionMismatch):
+            cme.embedding_weights(post, FeatureSubset.full(4), data.X[:1], 0.1)
 
 
 class TestEmbeddingBatch:
@@ -66,8 +70,8 @@ class TestEmbeddingBatch:
         assert B.shape == (8, post.n_inducing, 5)
         # bit-equal to solves at the default lambda: the default is the one used
         lam = cme.default_lambda(post.n_inducing)
-        for j, subset in enumerate(design.coalitions):
-            w = cme.embedding_weights(post, subset, data.X[:5], lam)
+        for j, mask in enumerate(design.masks):
+            w = cme.embedding_weights(post, FeatureSubset(int(mask), 3), data.X[:5], lam)
             np.testing.assert_array_equal(B[j], w.weights)
 
     def test_feature_count_mismatch(self, posterior):

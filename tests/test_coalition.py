@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from math import comb
 
@@ -33,7 +34,7 @@ def brute_force_ssv(design, payoff_mean, payoff_cov):
     subsets explicitly for each player.
     """
     d = design.d
-    pos = {c.mask: j for j, c in enumerate(design.coalitions)}
+    pos = {int(m): j for j, m in enumerate(design.masks)}
     mean = np.zeros(d)
     cov = np.zeros((d, d))
     weights = []
@@ -84,12 +85,12 @@ class TestDesignConstruction:
     def test_enumeration_order_and_count(self):
         design = enumerate_coalitions(3)
         assert design.n_coalitions == 8
-        assert design.coalitions[0].mask == 0
-        assert design.coalitions[-1].mask == 0b111
-        sizes = [c.size() for c in design.coalitions]
+        assert design.masks[0] == 0
+        assert design.masks[-1] == 0b111
+        sizes = [int(m).bit_count() for m in design.masks]
         assert sizes == sorted(sizes)
         # ties in size break by mask value
-        masks_by_size_one = [c.mask for c in design.coalitions if c.size() == 1]
+        masks_by_size_one = [m for m in design.masks if int(m).bit_count() == 1]
         assert masks_by_size_one == sorted(masks_by_size_one)
 
     def test_boundary_weights_are_zero(self):
@@ -104,8 +105,8 @@ class TestDesignConstruction:
 
     def test_sampling_always_includes_boundaries(self):
         design = sample_coalitions(6, 10, seed=3)
-        assert design.coalitions[0].mask == 0
-        assert design.coalitions[-1].mask == (1 << 6) - 1
+        assert design.masks[0] == 0
+        assert design.masks[-1] == (1 << 6) - 1
         assert design.n_coalitions == 10
 
     def test_sampling_is_seed_deterministic(self):
@@ -120,12 +121,17 @@ class TestDesignConstruction:
         with pytest.raises(CountOutOfRange):
             sample_coalitions(3, 9)
 
+    def test_sampling_width_cap(self):
+        with pytest.raises(DimensionTooLarge, match=r"d <= 30, got d=31"):
+            sample_coalitions(31, 50)
+        assert sample_coalitions(30, 50).masks[-1] == (1 << 30) - 1
+
     def test_large_d_duplicates_merge_by_summing_weights(self):
         # with replacement beyond the enumeration cap; merged rows must keep
         # total weight equal to draw count times the per-size weight
         design = sample_coalitions(25, 400, seed=0)
-        assert design.coalitions[0].mask == 0
-        assert design.coalitions[-1].mask == (1 << 25) - 1
+        assert design.masks[0] == 0
+        assert design.masks[-1] == (1 << 25) - 1
         total = design.weights.sum()
         expected = sum(
             shapley_kernel_weight(25, bin(m).count("1"))
@@ -137,8 +143,8 @@ class TestDesignConstruction:
 
     def test_rows_of_z_are_the_mask_bits(self):
         for design in (enumerate_coalitions(5), sample_coalitions(25, 400, seed=0)):
-            for row, c in zip(design.Z, design.coalitions):
-                assert row.tolist() == [float(c.mask >> i & 1) for i in range(design.d)]
+            for row, m in zip(design.Z, design.masks):
+                assert row.tolist() == [float(m >> i & 1) for i in range(design.d)]
 
     def test_memory_is_linear_in_the_coalition_count(self):
         # the constraint elimination must not form an ell x ell (or
@@ -157,6 +163,26 @@ class TestDesignConstruction:
             sample_coalitions(5, 12, seed=1).digest()
             != sample_coalitions(5, 12, seed=2).digest()
         )
+
+
+class TestDigest:
+    def test_length_does_not_grow_with_the_design(self):
+        designs = [enumerate_coalitions(d) for d in range(3, 17)] + [
+            sample_coalitions(8, 50), sample_coalitions(25, 400)]
+        assert {len(design.digest()) for design in designs} == {64}
+
+    def test_equal_masks_give_equal_digests_and_others_differ(self):
+        assert enumerate_coalitions(6).digest() == enumerate_coalitions(6).digest()
+        a = coalition._design_from_masks(4, np.array([0, 1, 2, 4, 8, 3, 15]))
+        b = coalition._design_from_masks(4, np.array([0, 1, 2, 4, 8, 5, 15]))
+        assert a.digest() != b.digest()
+        assert enumerate_coalitions(4).digest() != sample_coalitions(4, 8, seed=0).digest()
+
+    def test_value_is_sha256_of_d_and_little_endian_int64_masks(self):
+        design = sample_coalitions(10, 40, seed=2)
+        data = b"".join(int(v).to_bytes(8, "little", signed=True)
+                        for v in [10, *design.masks.tolist()])
+        assert design.digest() == hashlib.sha256(data).hexdigest()
 
 
 class TestProjection:
@@ -237,7 +263,7 @@ class TestExactSsvOracle:
     def test_symmetric_players_get_equal_shares(self):
         # nu(S) = |S| is symmetric in all players
         design = enumerate_coalitions(4)
-        v = np.array([c.size() for c in design.coalitions], dtype=float)
+        v = np.array([int(m).bit_count() for m in design.masks], dtype=float)
         game = StochasticGame(
             design=design, payoff_mean=v, payoff_cov=np.zeros((16, 16))
         )

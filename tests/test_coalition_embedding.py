@@ -24,16 +24,16 @@ def reference_map(anchors, kernel, design, lam, x):
     n_anchor = anchors.shape[0]
     B = np.empty((design.n_coalitions, n_anchor))
     eye = lam * np.eye(n_anchor)
-    for j, subset in enumerate(design.coalitions):
-        K_s = kernels.gram(kernel, subset, anchors, anchors)
-        k_sx = kernels.gram(kernel, subset, anchors, x)
+    for j, mask in enumerate(design.masks):
+        K_s = kernels.gram(kernel, mask, anchors, anchors)
+        k_sx = kernels.gram(kernel, mask, anchors, x)
         B[j] = numerics.cholesky_psd(K_s + eye).solve(k_sx)[:, 0]
     return design.A @ B
 
 
 def reference_fit_predict(X, Phi, anchors, kernel, design, lam, noise, X_new):
     n, d = X.shape
-    K = kernels.gram(kernel, kernels.FeatureSubset.full(d), anchors, anchors)
+    K = kernels.gram(kernel, (1 << d) - 1, anchors, anchors)
     maps = [reference_map(anchors, kernel, design, lam, X[a]) for a in range(n)]
     big = np.empty((n * d, n * d))
     for a in range(n):
@@ -72,9 +72,9 @@ class TestCoalitionEmbedding:
         emb = cme.coalition_embedding(kernel, anchors, design, lam)
         B = emb.weights(X_new)
         assert B.shape == (design.n_coalitions, anchors.shape[0], X_new.shape[0])
-        for j, subset in enumerate(design.coalitions):
-            K_s = kernels.gram(kernel, subset, anchors, anchors)
-            k_sx = kernels.gram(kernel, subset, anchors, X_new)
+        for j, mask in enumerate(design.masks):
+            K_s = kernels.gram(kernel, mask, anchors, anchors)
+            k_sx = kernels.gram(kernel, mask, anchors, X_new)
             direct = numerics.cholesky_psd(K_s + lam * np.eye(len(anchors))).solve(k_sx)
             np.testing.assert_array_equal(B[j], direct)
 

@@ -115,7 +115,7 @@ class TestFitExact:
         post = gp.fit_exact(small_data, params, noise=0.1, inducing=idx)
         assert count_cholesky == [(30, 30)]
         # the seed's two solve_regularized calls, each refactoring K + noise*I
-        full = kernels.FeatureSubset.full(3)
+        full = 0b111
         K = kernels.gram(params, full, small_data.X, small_data.X)
         K_ix = kernels.gram(params, full, small_data.X[idx], small_data.X)
         K_ii = kernels.gram(params, full, small_data.X[idx], small_data.X[idx])
@@ -136,7 +136,7 @@ class TestFitExact:
         monkeypatch.undo()
         assert len(grams) == 1
         # the inducing blocks built as grams of their own, factored by scipy
-        full, X, Xi = kernels.FeatureSubset.full(3), small_data.X, small_data.X[idx]
+        full, X, Xi = 0b111, small_data.X, small_data.X[idx]
         K_ix, K_ii = kernels.gram(params, full, Xi, X), kernels.gram(params, full, Xi, Xi)
         chol = linalg.cho_factor(kernels.gram(params, full, X, X) + 0.1 * np.eye(30),
                                  lower=True)
@@ -236,7 +236,7 @@ class TestMarginalLikelihood:
             variance=1.0, lengthscales=kernels.median_heuristic(small_data.X)
         )
         noise = 0.3
-        K = kernels.gram(params, kernels.FeatureSubset.full(3),
+        K = kernels.gram(params, 0b111,
                          small_data.X, small_data.X)
         expected = stats.multivariate_normal.logpdf(
             small_data.y, mean=np.zeros(30), cov=K + noise * np.eye(30)
@@ -335,7 +335,7 @@ class TestGramReuse:
 
     def test_callers_gram_is_left_bit_identical(self, small_data):
         params, noise = gp.default_grid(small_data)[6]
-        K = kernels.gram(params, kernels.FeatureSubset.full(3), small_data.X, small_data.X)
+        K = kernels.gram(params, 0b111, small_data.X, small_data.X)
         before = K.tobytes()
         ll = gp.log_marginal_likelihood(small_data, params, noise, gram=K)
         assert K.tobytes() == before
@@ -343,7 +343,7 @@ class TestGramReuse:
 
     def test_callers_gram_is_restored_when_the_factorization_fails(self, small_data):
         params, _ = gp.default_grid(small_data)[0]
-        K = -kernels.gram(params, kernels.FeatureSubset.full(3), small_data.X, small_data.X)
+        K = -kernels.gram(params, 0b111, small_data.X, small_data.X)
         before = K.tobytes()
         with pytest.raises(JitterExceeded):  # a diagonal of -1 plus 0.5 is indefinite
             gp.log_marginal_likelihood(small_data, params, 0.5, gram=K)

@@ -92,7 +92,7 @@ def kernel_gram(repeat=False):
     if repeat:
         X = np.vstack([X, X])
     params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
-    K = kernels.gram(params, kernels.FeatureSubset.full(3), X, X)
+    K = kernels.gram(params, 0b111, X, X)
     assert not np.array_equal(K, K.T)
     return K
 
@@ -179,7 +179,7 @@ def solve_problem():
     rng = np.random.default_rng(11)
     rows, X = rng.normal(size=(200, 3)), rng.normal(size=(100, 3))
     params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
-    full = kernels.FeatureSubset.full(3)
+    full = 0b111
     factor = numerics.cholesky_psd(kernels.gram(params, full, rows, rows), shift=0.2)
     return factor, kernels.gram(params, full, rows, X)
 

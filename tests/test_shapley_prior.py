@@ -63,7 +63,7 @@ class TestFitPredict:
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(d))
         lam = 1e-3 * n
         maps = cme.coalition_embedding(params, X, design, lam).projected(X)
-        K = kernels.gram(params, kernels.FeatureSubset.full(d), X, X)
+        K = kernels.gram(params, (1 << d) - 1, X, X)
         w = rng.normal(size=n)
         Phi = maps @ (K @ w)
         model = shapley_prior.fit(
@@ -158,7 +158,7 @@ def dense_reference(X, Phi, anchors, kernel, design, lam, noise, X_new):
     """
     n, d = X.shape
     emb = cme.coalition_embedding(kernel, anchors, design, lam)
-    K = kernels.gram(kernel, kernels.FeatureSubset.full(d), anchors, anchors)
+    K = kernels.gram(kernel, (1 << d) - 1, anchors, anchors)
     F = emb.projected(X).reshape(n * d, anchors.shape[0])
     gram = F @ K @ F.T + noise * np.eye(n * d)
     alpha = np.linalg.solve(gram, Phi.reshape(-1)) if n else np.zeros(0)
