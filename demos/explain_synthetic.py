@@ -28,7 +28,7 @@ y = np.sin(2 * X[:, 0]) + 0.8 * X[:, 1] - 0.4 * X[:, 2] ** 2
 y += 0.05 * rng.normal(size=n)
 names = ["x1", "x2", "x3", "const"]
 
-data = ssvkit.Dataset(X=X, y=y, feature_names=names)
+data = ssvkit.Dataset(X=X, y=y)
 
 # --- fit: grid-searched hyperparameters, farthest-point inducing set -----
 params, noise = ssvkit.select_hyperparameters(data, ssvkit.gp.default_grid(data))

@@ -21,7 +21,7 @@ n, d = 90, 4
 X = rng.normal(size=(n, d))
 y = X[:, 0] * X[:, 1] + 0.7 * X[:, 2] + 0.05 * rng.normal(size=n)
 names = ["a", "b", "c", "noise"]
-data = ssvkit.Dataset(X=X, y=y, feature_names=names)
+data = ssvkit.Dataset(X=X, y=y)
 
 params = ssvkit.KernelParams(
     variance=1.0, lengthscales=ssvkit.median_heuristic(X)
@@ -51,9 +51,8 @@ for i, j, rho in edges:
     print(f"  {names[i]} -- {names[j]}: {rho:+.3f}")
 
 # --- beeswarm table -------------------------------------------------------
-rows = analysis.beeswarm_export(batch, X[:25])
-print("\nbeeswarm rows (first 4 of", len(rows), "):")
-for row in rows[:4]:
-    print(f"  {row['feature']:>6} rank={row['feature_rank']} "
-          f"mean={row['mean']:+.3f} sd={row['sd']:.3f} "
-          f"value_quantile={row['feature_value_quantile']:.2f}")
+rows = analysis.beeswarm_export(batch.means, batch.stds(), X[:25])
+print("\nbeeswarm rows, instance-major (first 4 of", len(rows), "):")
+for k, i, mean, sd, value, quantile in rows[:4]:
+    print(f"  instance {k} {names[i]:>6}: mean={mean:+.3f} sd={sd:.3f} "
+          f"value={value:+.3f} value_quantile={quantile:.2f}")

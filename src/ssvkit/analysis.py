@@ -105,11 +105,10 @@ def correlation_matrix(cov: np.ndarray) -> np.ndarray:
     return numerics.symmetrize(corr)
 
 
-def precision_graph(cov: np.ndarray, sparsity: float = 0.9,
-                    jitter: float = 1e-8) -> list[tuple[int, int, float]]:
+def precision_graph(cov: np.ndarray, sparsity: float = 0.9) -> list[tuple[int, int, float]]:
     """Edges of the Gaussian graphical model after sparsity thresholding.
 
-    Computes partial correlations from the (jittered) precision matrix and
+    Computes partial correlations from the precision matrix of cov + 1e-8*I and
     keeps the edges whose magnitude is nonzero and at least the sparsity
     quantile of all off-diagonal magnitudes; sparsity 0.9 keeps roughly the
     top 10 percent.
@@ -118,7 +117,7 @@ def precision_graph(cov: np.ndarray, sparsity: float = 0.9,
         raise ValueError("sparsity must lie in [0, 1)")
     cov = np.asarray(cov, dtype=float)
     d = cov.shape[0]
-    P = numerics.cholesky_psd(cov, shift=jitter).solve(np.eye(d))
+    P = numerics.cholesky_psd(cov, shift=1e-8).solve(np.eye(d))
     denom = np.sqrt(np.outer(np.diag(P), np.diag(P)))
     rho = -P / denom
     np.fill_diagonal(rho, 1.0)
@@ -134,24 +133,13 @@ def precision_graph(cov: np.ndarray, sparsity: float = 0.9,
     return edges
 
 
-def beeswarm_export(batch: ExplanationBatch, X_explain: np.ndarray) -> list[dict]:
-    """Rows for a beeswarm-style plot, features ranked by mean span.
-
-    Each row carries the instance, feature, mean, sd, raw feature value and
-    its midpoint-convention quantile within the explained batch.  Rows are
-    grouped by feature in decreasing order of (max - min) of the means.
-    """
-    X_explain = np.atleast_2d(np.asarray(X_explain, dtype=float))
-    n, d = X_explain.shape
-    if (n, d) != batch.means.shape:
-        raise ValueError("explanation batch and instance matrix shapes disagree")
-    names = batch.feature_names or [f"x_{i + 1}" for i in range(d)]
-    sds = batch.stds()
-    ranks = value_quantiles(X_explain)
-    spans = batch.means.max(axis=0) - batch.means.min(axis=0)
-    order = np.argsort(-spans, kind="stable")
-    return [{"instance": k, "feature": names[i], "feature_rank": rank_pos,
-             "mean": float(batch.means[k, i]), "sd": float(sds[k, i]),
-             "feature_value": float(X_explain[k, i]),
-             "feature_value_quantile": float(ranks[k, i])}
-            for rank_pos, i in enumerate(order) for k in range(n)]
+def beeswarm_export(means: np.ndarray, sds: np.ndarray,
+                    X: np.ndarray) -> list[tuple[int, int, float, float, float, float]]:
+    """Instance-major beeswarm rows (instance k, feature i, mean, sd, X[k, i],
+    midpoint-convention quantile of X[k, i] within column i)."""
+    if not means.shape == sds.shape == X.shape:
+        raise ValueError(f"means {means.shape}, sds {sds.shape} and instances {X.shape} "
+                         "differ in shape")
+    q = value_quantiles(X)
+    return [(k, i, float(means[k, i]), float(sds[k, i]), float(X[k, i]), float(q[k, i]))
+            for k, i in np.ndindex(*X.shape)]

@@ -89,8 +89,8 @@ def _read_csv_matrix(path: str, target: str | None = None, text: str | None = No
     return feat_names, X, (np.asarray(y) if target is not None else None)
 
 
-def _write(path: str | None, text: str):
-    if path is None or path == "-":
+def _write(path: str, text: str):
+    if path == "-":
         click.echo(text, nl=False)
     else:
         with open(path, "w") as fh:
@@ -106,6 +106,25 @@ def _credible_level(ctx, param, value):
     if value is not None and not 0.0 < value < 1.0:
         raise ValueError(f"--credible must lie in (0, 1), got {value!r}")
     return value
+
+
+def _non_negative_seed(ctx, param, value):
+    """Click callback: a seed must be a non-negative integer."""
+    if value < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {value}")
+    return value
+
+
+_seed_option = click.option("--seed", type=int, default=0, show_default=True,
+                            callback=_non_negative_seed)
+
+
+def _credible_entries(level: float | None, means: np.ndarray, sds) -> dict:
+    """A JSON output's credible_level, lo and hi entries; ``sds`` is called only at a level."""
+    if not level:
+        return {}
+    lo, hi = explain.credible_intervals(means, sds(), level)
+    return {"credible_level": level, "lo": lo.tolist(), "hi": hi.tolist()}
 
 
 def _design(d: int, coalitions: str, seed: int) -> coalition.CoalitionDesign:
@@ -134,13 +153,13 @@ def main():
               help="Median-heuristic lengthscale multiples to grid over.")
 @click.option("--noise-fractions", default="1e-3,1e-2,1e-1,1", show_default=True,
               help="Noise grid as fractions of var(y).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--output", "-o", default="posterior.json", show_default=True)
 def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractions,
             seed, output):
     """Fit an exact GP to a CSV dataset and store its inducing-set posterior."""
-    names, X, y = _read_csv_matrix(data_path, target)
-    data = gp.Dataset(X=X, y=y, feature_names=names)
+    _, X, y = _read_csv_matrix(data_path, target)
+    data = gp.Dataset(X=X, y=y)
     grid = gp.default_grid(data, _floats(ls_multipliers), _floats(noise_fractions))
     params, noise = gp.select_hyperparameters(data, grid)
     count = data.n if inducing is None else inducing
@@ -150,11 +169,9 @@ def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractio
     ll = gp.log_marginal_likelihood(data, params, noise)
     _write(output, posterior.to_json() + "\n")
     lengthscales = ", ".join(f"{v:.6g}" for v in params.lengthscales)
-    click.echo(
-        f"n={data.n} d={data.d} n_inducing={posterior.n_inducing} "
-        f"lengthscales=[{lengthscales}] "
-        f"noise={noise:.6g} log_marginal_likelihood={ll:.6f}"
-    )
+    click.echo(f"n={data.n} d={data.d} n_inducing={posterior.n_inducing} "
+               f"lengthscales=[{lengthscales}] "
+               f"noise={noise:.6g} log_marginal_likelihood={ll:.6f}", err=output == "-")
 
 
 def _load_posterior(path: str) -> gp.GPPosterior:
@@ -178,7 +195,7 @@ def _load_posterior(path: str) -> gp.GPPosterior:
 @click.option("--sigma0-sq", type=float, default=0.1, show_default=True)
 @click.option("--credible", type=float, default=None, callback=_credible_level,
               help="Append credible-interval columns at this level.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @click.option("--output", "-o", default="explanations.json", show_default=True)
@@ -200,13 +217,10 @@ def cmd_explain(posterior_path, instances_path, algo, coalitions, lam, ell0,
     if fmt == "csv":
         _write(output, batch.to_csv(level=credible if credible else 0.95))
     else:
-        extra = {"X": X.tolist()}
-        if credible:
-            lo, hi = explain.credible_intervals(batch.means, batch.stds(), credible)
-            extra.update(credible_level=credible, lo=lo.tolist(), hi=hi.tolist())
-        _write(output, batch.to_json(**extra) + "\n")
+        extra = _credible_entries(credible, batch.means, batch.stds)
+        _write(output, batch.to_json(X=X.tolist(), **extra) + "\n")
     click.echo(f"explained {X.shape[0]} instances with {algo} "
-               f"({design.n_coalitions} coalitions)")
+               f"({design.n_coalitions} coalitions)", err=output == "-")
 
 
 def _json_array(doc: dict, key: str, path: str, shape: tuple | None = None) -> np.ndarray:
@@ -288,7 +302,7 @@ def _load_explanations(path: str, need: str):
 @click.option("--lam", type=float, default=None)
 @click.option("--noise", type=float, default=1e-2, show_default=True)
 @click.option("--credible", type=float, default=None, callback=_credible_level)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--output", "-o", default="predicted_explanations.json", show_default=True)
 def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noise,
                         credible, seed, output):
@@ -306,14 +320,11 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
         lam = cme.default_lambda(anchor_pts.shape[0])
     model = shapley_prior.fit(data, anchor_pts, params, design, lam, noise)
     means, covs = shapley_prior.predict_batch(model, X_new)
-    out = {"means": means.tolist(), "cov": covs.tolist()}
-    if credible:
-        sds = np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
-        lo, hi = explain.credible_intervals(means, sds, credible)
-        out.update(credible_level=credible, lo=lo.tolist(), hi=hi.tolist())
+    out = {"means": means.tolist(), "cov": covs.tolist(),
+           **_credible_entries(credible, means, lambda: explain.marginal_sds(covs))}
     _write(output, json.dumps(out, indent=2, sort_keys=True) + "\n")
     click.echo(f"predicted explanations for {X_new.shape[0]} instances "
-               f"from {X.shape[0]} observed ones")
+               f"from {X.shape[0]} observed ones", err=output == "-")
 
 
 @main.command("analyze")
@@ -334,7 +345,7 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
         raise ValueError(f"'cov' of instance {instance} in {expl_path} is not positive "
                          "semi-definite within a jitter of 1e-8")
     names = names or [f"x_{i + 1}" for i in range(d)]
-    sds = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
+    sds = explain.marginal_sds(cov)
     imp = analysis.importance(means, sds)
     corr = analysis.correlation_matrix(cov[instance])
     edges = analysis.precision_graph(cov[instance], sparsity)
@@ -350,22 +361,16 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
         lines.append(f"{names[i]},{names[j]},{float(r)!r}")
     _write(f"{prefix}_graph.csv", "\n".join(lines) + "\n")
     if X is not None:
-        # instance-major rows, unlike analysis.beeswarm_export's feature-major ones
-        quantiles = analysis.value_quantiles(X)
         lines = ["instance,feature,mean,sd,feature_value,feature_value_quantile"]
-        for k in range(n):
-            for i in range(d):
-                lines.append(
-                    f"{k},{names[i]},{float(means[k, i])!r},{float(sds[k, i])!r},"
-                    f"{float(X[k, i])!r},{float(quantiles[k, i])!r}"
-                )
+        for k, i, mean, sd, value, quantile in analysis.beeswarm_export(means, sds, X):
+            lines.append(f"{k},{names[i]},{mean!r},{sd!r},{value!r},{quantile!r}")
         _write(f"{prefix}_beeswarm.csv", "\n".join(lines) + "\n")
     click.echo(f"wrote {prefix}_global.csv, {prefix}_correlation.json, "
                f"{prefix}_graph.csv" + (f", {prefix}_beeswarm.csv" if X is not None else ""))
 
 
 @main.command("selftest")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--corrupt-projection", is_flag=True, hidden=True,
               help="Negative-control hook: perturb A before the oracle check.")
 def cmd_selftest(seed, corrupt_projection):

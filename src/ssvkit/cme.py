@@ -157,12 +157,11 @@ class EmbeddingBatch:
     """Embedding weights for every coalition of a design, in design order."""
 
     design: CoalitionDesign
-    X_explain: np.ndarray
     weights: np.ndarray                     # n_coalitions x n_inducing x n_instances
 
     @property
     def n_instances(self) -> int:
-        return self.X_explain.shape[0]
+        return self.weights.shape[2]
 
     @property
     def n_inducing(self) -> int:
@@ -211,7 +210,7 @@ def embedding_batch(posterior: GPPosterior, design: CoalitionDesign,
     X_explain, factors = _one_batch(posterior, design, X_explain, lam)
     weights = _solve_all(posterior.kernel, posterior.inducing_points, design.masks,
                          factors, X_explain)
-    return EmbeddingBatch(design=design, X_explain=X_explain, weights=weights)
+    return EmbeddingBatch(design=design, weights=weights)
 
 
 def projected_batch(posterior: GPPosterior, design: CoalitionDesign,

@@ -22,7 +22,7 @@ factor R of shape (d, n_instances, n_inducing); the covariance between
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -86,10 +86,7 @@ class ExplanationBatch:
 
     def stds(self) -> np.ndarray:
         """Per-instance, per-feature standard deviations, shape n x d."""
-        return np.stack(
-            [np.sqrt(np.maximum(np.diag(self.covariance(k)), 0.0))
-             for k in range(self.n_instances)]
-        )
+        return marginal_sds(np.stack([self.covariance(k) for k in range(self.n_instances)]))
 
     def to_json(self, **extra) -> str:
         """The explanation document, with the JSON-ready ``extra`` entries
@@ -110,14 +107,9 @@ class ExplanationBatch:
         names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
         sds = self.stds()
         lo, hi = credible_intervals(self.means, sds, level)
-        lines = ["instance,feature,mean,sd,lo,hi"]
-        for k in range(self.n_instances):
-            for i in range(self.d):
-                lines.append(
-                    f"{k},{names[i]},{float(self.means[k, i])!r},{float(sds[k, i])!r},"
-                    f"{float(lo[k, i])!r},{float(hi[k, i])!r}"
-                )
-        return "\n".join(lines) + "\n"
+        rows = (f"{k},{names[i]},{float(self.means[k, i])!r},{float(sds[k, i])!r},"
+                f"{float(lo[k, i])!r},{float(hi[k, i])!r}" for k, i in np.ndindex(*sds.shape))
+        return "\n".join(["instance,feature,mean,sd,lo,hi", *rows]) + "\n"
 
 
 def gpshap(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarray,
@@ -163,21 +155,18 @@ def bayes_s2(E: np.ndarray, design: CoalitionDesign, means: np.ndarray) -> np.nd
     return (weighted + np.einsum("ik,ik->k", Phi, Phi)) / ell
 
 
-def sample_sigma2(config: BayesConfig, ell: int, s2: np.ndarray | float,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+def sample_sigma2(config: BayesConfig, ell: int, s2: np.ndarray | float) -> np.ndarray:
     """Draw noise scales from the scaled inverse chi-squared posterior.
 
     df = ell0 + ell and scale = (ell0*sigma0^2 + ell*s2) / (ell0 + ell);
-    a draw is df * scale / chi2_df.
+    a draw is df * scale / chi2_df, one per entry of s2, from ``config.seed``.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     s2 = np.atleast_1d(np.asarray(s2, dtype=float))
     df = config.ell0 + ell
     scale = (config.ell0 * config.sigma0_sq + ell * s2) / df
-    chi2 = rng.chisquare(df, size=s2.shape)
+    chi2 = np.random.default_rng(config.seed).chisquare(df, size=s2.shape)
     return df * scale / chi2
 
 
@@ -190,24 +179,23 @@ def _bayes_term(design: CoalitionDesign) -> np.ndarray:
     return numerics.symmetrize(factor.solve(np.eye(d)))
 
 
+def _with_bayes(batch: ExplanationBatch, config: BayesConfig) -> ExplanationBatch:
+    """``batch`` plus the Bayesian WLS term: each instance's covariance gains
+    ``(Z^T W Z)^-1 * sigma2[k]``, with sigma2 drawn once per instance from the
+    scaled inverse chi-squared posterior built on the payoff means."""
+    design = batch.design
+    s2 = bayes_s2(batch.payoff_means, design, batch.means)
+    return replace(batch, sigma2_samples=sample_sigma2(config, design.n_coalitions, s2),
+                   bayes_term=_bayes_term(design))
+
+
 def bayesgpshap(posterior: GPPosterior, design: CoalitionDesign,
                 X_explain: np.ndarray, lam: float | None = None,
                 config: BayesConfig = BayesConfig(),
                 feature_names: Optional[list[str]] = None) -> ExplanationBatch:
-    """GP-SHAP plus the Bayesian WLS estimation-uncertainty term.
-
-    Means are identical to gpshap; each instance's covariance gains
-    ``(Z^T W Z)^-1 * sigma2[k]`` with sigma2 drawn once per instance from
-    the scaled inverse chi-squared posterior built on the mean payoffs.
-    """
-    base = gpshap(posterior, design, X_explain, lam, feature_names)
-    s2 = bayes_s2(base.payoff_means, design, base.means)
-    sigma2 = sample_sigma2(config, design.n_coalitions, s2)
-    return ExplanationBatch(
-        means=base.means, cov_factor=base.cov_factor, design=design,
-        payoff_means=base.payoff_means, sigma2_samples=sigma2,
-        bayes_term=_bayes_term(design), feature_names=feature_names,
-    )
+    """GP-SHAP plus the Bayesian WLS estimation-uncertainty term; means are
+    identical to gpshap's."""
+    return _with_bayes(gpshap(posterior, design, X_explain, lam, feature_names), config)
 
 
 def bayesshap_deterministic(payoffs: np.ndarray, design: CoalitionDesign,
@@ -224,16 +212,16 @@ def bayesshap_deterministic(payoffs: np.ndarray, design: CoalitionDesign,
         E = E[:, None]
     if E.shape[0] != design.n_coalitions:
         raise ValueError("payoff rows must match the design's coalition count")
-    means = (design.A @ E).T
-    n = E.shape[1]
-    s2 = bayes_s2(E, design, means)
-    sigma2 = sample_sigma2(config, design.n_coalitions, s2)
-    R = np.zeros((design.d, n, 1))
-    return ExplanationBatch(
-        means=means, cov_factor=R, design=design, payoff_means=E,
-        sigma2_samples=sigma2, bayes_term=_bayes_term(design),
-        feature_names=feature_names,
-    )
+    base = ExplanationBatch(means=(design.A @ E).T,
+                            cov_factor=np.zeros((design.d, E.shape[1], 1)), design=design,
+                            payoff_means=E, feature_names=feature_names)
+    return _with_bayes(base, config)
+
+
+def marginal_sds(covs: np.ndarray) -> np.ndarray:
+    """Standard deviations on the diagonals of a stack of covariances (n x d x d),
+    shape n x d; a negative rounding residue reads as 0."""
+    return np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
 
 
 def credible_intervals(means: np.ndarray, sds: np.ndarray,

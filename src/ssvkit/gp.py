@@ -23,11 +23,10 @@ from .kernels import KernelParams
 
 @dataclass(frozen=True)
 class Dataset:
-    """A regression dataset: features, targets, optional feature names."""
+    """A regression dataset: features and targets."""
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: Optional[list[str]] = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -40,8 +39,6 @@ class Dataset:
             raise ValueError("dataset must contain at least one row")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError("dataset contains non-finite entries")
-        if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
-            raise ValueError("feature_names length does not match feature count")
 
     @property
     def n(self) -> int:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from . import analysis, coalition, explain, gp, kernels, shapley_prior
+from . import analysis, cme, coalition, explain, gp, kernels, numerics, shapley_prior
 
 
 def _random_game(rng: np.random.Generator, design) -> coalition.StochasticGame:
@@ -22,17 +22,16 @@ def _random_game(rng: np.random.Generator, design) -> coalition.StochasticGame:
     return coalition.StochasticGame(design=design, payoff_mean=mean, payoff_cov=cov)
 
 
-def check_projection_oracle(seed: int, corrupt: bool = False,
-                            dims=range(2, 9), games_per_dim: int = 10) -> float:
+def check_projection_oracle(seed: int, corrupt: bool = False) -> float:
     """Max deviation between the WLS projection and the brute-force oracle."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for d in dims:
+    for d in range(2, 9):
         design = coalition.enumerate_coalitions(d)
         A = design.A.copy()
         if corrupt:
             A[0, 0] += 0.5
-        for _ in range(games_per_dim):
+        for _ in range(10):
             game = _random_game(rng, design)
             mean_o, cov_o = coalition.exact_ssv(game)
             mean_p = A @ game.payoff_mean
@@ -53,8 +52,8 @@ def _synthetic_posterior(rng: np.random.Generator, n=60, d=3, n_inducing=30):
     return gp.fit_exact(data, params, noise=0.1, inducing=idx), X
 
 
-def check_mc_posterior_oracle(seed: int, n_draws: int = 8000) -> float:
-    """GP-SHAP analytic moments vs Monte-Carlo over posterior draws.
+def check_mc_posterior_oracle(seed: int) -> float:
+    """GP-SHAP analytic moments vs Monte-Carlo over 8,000 posterior draws.
 
     Returns the worst entry-wise deviation in units of the tolerance: mean
     deviations are scaled by 3 standard errors, covariance deviations by
@@ -65,10 +64,8 @@ def check_mc_posterior_oracle(seed: int, n_draws: int = 8000) -> float:
     design = coalition.enumerate_coalitions(posterior.d)
     x_explain = X[:2]
     batch = explain.gpshap(posterior, design, x_explain)
-
-    from . import cme, numerics
-    emb = cme.embedding_batch(posterior, design, x_explain)
-    B = emb.tensor()
+    n_draws = 8000
+    B = cme.embedding_batch(posterior, design, x_explain).tensor()
     L = numerics.cholesky_psd(posterior.cov_at_inducing, max_jitter=1e-8).lower
     draws = posterior.mean_at_inducing[:, None] + L @ rng.normal(
         size=(posterior.n_inducing, n_draws))
@@ -89,11 +86,11 @@ def check_mc_posterior_oracle(seed: int, n_draws: int = 8000) -> float:
     return worst
 
 
-def check_prior_payoff_identity(seed: int, n_models: int = 5) -> float:
+def check_prior_payoff_identity(seed: int) -> float:
     """A applied to the induced payoff must equal the predictive mean."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_models):
+    for _ in range(5):
         n, d = int(rng.integers(3, 8)), int(rng.integers(1, 4))
         X = rng.normal(size=(n, d))
         Phi = rng.normal(size=(n, d))
@@ -101,7 +98,7 @@ def check_prior_payoff_identity(seed: int, n_models: int = 5) -> float:
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(d))
         model = shapley_prior.fit(
             shapley_prior.ExplanationDataset(X=X, Phi=Phi),
-            anchors=X, kernel=params, design=design, lam=1e-3 * n, noise=1e-2,
+            anchors=X, kernel=params, design=design, lam=cme.default_lambda(n), noise=1e-2,
         )
         x_new = rng.normal(size=d)
         mean, _ = shapley_prior.predict(model, x_new)
@@ -110,13 +107,13 @@ def check_prior_payoff_identity(seed: int, n_models: int = 5) -> float:
     return worst
 
 
-def check_folded_mean_mc(seed: int, n_draws: int = 200_000) -> float:
+def check_folded_mean_mc(seed: int) -> float:
     """Analytic folded-normal mean vs Monte-Carlo on a (mu, sigma) grid."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for mu in (-2.0, -1.0, 0.0, 1.0, 2.0):
         for sigma in (0.5, 1.0, 2.0):
-            draws = np.abs(rng.normal(mu, sigma, size=n_draws))
+            draws = np.abs(rng.normal(mu, sigma, size=200_000))
             worst = max(worst, abs(float(draws.mean()) - analysis.folded_mean(mu, sigma)))
     return worst
 

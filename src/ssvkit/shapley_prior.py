@@ -93,8 +93,7 @@ def kappa(model: ShapleyPriorModel, x: np.ndarray, x2: np.ndarray) -> np.ndarray
 def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
         design: CoalitionDesign, lam: float, noise: float) -> ShapleyPriorModel:
     """Fit the multi-output GP: the posterior of the m anchor weights."""
-    if not (np.isfinite(noise) and noise > 0):
-        raise ValueError(f"noise must be positive and finite, got {noise!r}")
+    gp._require_noise(noise)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n, d, m = data.n, data.d, anchors.shape[0]
     anchor_factor = numerics.cholesky_psd(kernels.gram(kernel, (1 << d) - 1, anchors, anchors))

@@ -237,25 +237,18 @@ class TestPrecisionGraph:
 class TestBeeswarmExport:
     def test_rows_and_quantiles(self, batch, rng):
         X = rng.normal(size=(8, 4))
-        rows = analysis.beeswarm_export(batch, X)
+        rows = analysis.beeswarm_export(batch.means, batch.stds(), X)
         assert len(rows) == 8 * 4
+        # instance-major: instance k's d rows come before instance k + 1's
+        assert [row[:2] for row in rows] == [(k, i) for k in range(8) for i in range(4)]
         # quantiles use the midpoint convention: (rank - 0.5) / n
         by_feature = {}
         for row in rows:
-            by_feature.setdefault(row["feature"], []).append(row)
+            by_feature.setdefault(row[1], []).append(row)
         for feature_rows in by_feature.values():
-            qs = sorted(r["feature_value_quantile"] for r in feature_rows)
+            qs = sorted(r[5] for r in feature_rows)
             np.testing.assert_allclose(qs, (np.arange(8) + 0.5) / 8, atol=1e-12)
-
-    def test_features_ordered_by_mean_span(self, batch, rng):
-        X = rng.normal(size=(8, 4))
-        rows = analysis.beeswarm_export(batch, X)
-        spans = {}
-        for row in rows:
-            spans.setdefault(row["feature_rank"], []).append(row["mean"])
-        ordered = [max(v) - min(v) for _, v in sorted(spans.items())]
-        assert ordered == sorted(ordered, reverse=True)
 
     def test_shape_mismatch(self, batch):
         with pytest.raises(ValueError):
-            analysis.beeswarm_export(batch, np.zeros((3, 4)))
+            analysis.beeswarm_export(batch.means, batch.stds(), np.zeros((3, 4)))

@@ -211,6 +211,21 @@ class TestInputBoundary:
                        "--instances", "instances.csv", *args], workdir)
         assert_one_line_input_error(res)
 
+    @pytest.mark.parametrize("args", [
+        ["fit", "--data", "train.csv", "--target", "target", "--inducing", "10",
+         "--strategy", "uniform", "--seed", "-1", "-o", "neg.json"],
+        ["explain", "--posterior", "posterior.json", "--instances", "instances.csv",
+         "--algo", "bayesgpshap", "--seed", "-1", "-o", "neg.json"],
+        ["predict-explain", "--explanations", "expl.json", "--instances", "instances.csv",
+         "--seed", "-2", "--coalitions", "5", "-o", "neg.json"],
+        ["selftest", "--seed", "-1"],
+    ], ids=lambda args: args[0])
+    def test_negative_seed_is_rejected_at_the_option(self, explained, args):
+        res = run_cli(args, explained)
+        assert_one_line_input_error(res)
+        assert "--seed" in res.stderr and "--coalitions" not in res.stderr
+        assert not (explained / "neg.json").exists()
+
     def test_bad_predict_credible_exits_2(self, workdir):
         (workdir / "wide.csv").write_text("x_1,phi_1\n0.0,0.0\n1.0,0.5\n")
         (workdir / "new.csv").write_text("x_1\n0.5\n")
@@ -584,6 +599,25 @@ class TestAnalyze:
         (workdir / "nocov.json").write_text(json.dumps({"means": [[1.0, 2.0]]}))
         res = run_cli(["analyze", "--explanations", "nocov.json"], workdir)
         assert res.returncode == 2
+
+
+class TestStdoutOutput:
+    @pytest.mark.parametrize("args", [
+        ["fit", "--data", "train.csv", "--target", "target", "--inducing", "25"],
+        ["explain", "--posterior", "posterior.json", "--instances", "instances.csv",
+         "--credible", "0.9"],
+        ["explain", "--posterior", "posterior.json", "--instances", "instances.csv",
+         "--algo", "bayesshap", "--format", "csv"],
+        ["predict-explain", "--explanations", "expl.json", "--instances", "instances.csv",
+         "--credible", "0.9"],
+    ], ids=lambda args: "-".join(args[:1] + args[-2:]))
+    def test_dash_writes_only_the_document_to_stdout(self, explained, tmp_path, args):
+        to_file = run_cli([*args, "-o", str(tmp_path / "doc")], explained)
+        to_stdout = run_cli([*args, "-o", "-"], explained)
+        assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+        assert to_stdout.stdout.encode() == (tmp_path / "doc").read_bytes()
+        # the summary line moves to stderr
+        assert to_file.stderr == "" and to_stdout.stderr == to_file.stdout
 
 
 class TestSelftest:

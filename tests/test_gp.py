@@ -20,8 +20,6 @@ class TestDataset:
             gp.Dataset(X=np.zeros((3, 2)), y=np.zeros(4))
         with pytest.raises(ValueError):
             gp.Dataset(X=np.array([[np.nan, 0.0]]), y=np.zeros(1))
-        with pytest.raises(ValueError):
-            gp.Dataset(X=np.zeros((2, 2)), y=np.zeros(2), feature_names=["a"])
 
 
 class TestSelectInducing:

@@ -42,6 +42,18 @@ class TestGram:
             expected = params.variance * np.exp(-0.5 * np.maximum(sq, 0.0))
             np.testing.assert_array_equal(gram(params, mask, A, B), expected)
 
+    def test_one_far_instance_leaves_the_other_entries_exact(self, rng):
+        # one instance at 1e8 in a batch of unit-scale rows: only its own
+        # column sees the large value, so every entry matches the direct
+        # differences (a shared centre such as the range midpoint would move
+        # all the other rows to about -5e7 and cancel them)
+        unit = KernelParams(variance=1.0, lengthscales=np.ones(3))
+        A = rng.normal(size=(50, 3))
+        B = rng.normal(size=(20, 3))
+        B[0, 0] = 1e8
+        direct = np.exp(-0.5 * np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2))
+        np.testing.assert_allclose(gram(unit, 0b111, A, B), direct, rtol=0, atol=1e-12)
+
     def test_empty_subset_is_all_ones(self, params, rng):
         A = rng.normal(size=(4, 3))
         B = rng.normal(size=(5, 3))
