@@ -31,7 +31,7 @@ names = ["x1", "x2", "x3", "const"]
 data = ssvkit.Dataset(X=X, y=y)
 
 # --- fit: grid-searched hyperparameters, farthest-point inducing set -----
-params, noise = ssvkit.select_hyperparameters(data, ssvkit.gp.default_grid(data))
+params, noise = ssvkit.select_hyperparameters(data)
 idx = ssvkit.select_inducing(data, 40, "farthest_point")
 posterior = ssvkit.fit_exact(data, params, noise, idx)
 print(f"fitted GP: lengthscales={np.round(params.lengthscales, 2)} "

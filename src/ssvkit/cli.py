@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import analysis, cme, coalition, explain, gp, kernels, numerics, shapley_prior
-from .errors import SsvkitError
+from .errors import SingularSystem, SsvkitError
 
 
 class _Main(click.Group):
@@ -133,8 +133,8 @@ def _design(d: int, coalitions: str, seed: int) -> coalition.CoalitionDesign:
         if coalitions == "full":
             return coalition.enumerate_coalitions(d)
         return coalition.sample_coalitions(d, int(coalitions), seed)
-    except ValueError as exc:
-        raise ValueError(f"--coalitions {coalitions}: {exc}") from None
+    except (ValueError, SingularSystem) as exc:     # same type, so the same exit code
+        raise type(exc)(f"--coalitions {coalitions}: {exc}") from None
 
 
 @click.group(cls=_Main)
@@ -160,8 +160,8 @@ def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractio
     """Fit an exact GP to a CSV dataset and store its inducing-set posterior."""
     _, X, y = _read_csv_matrix(data_path, target)
     data = gp.Dataset(X=X, y=y)
-    grid = gp.default_grid(data, _floats(ls_multipliers), _floats(noise_fractions))
-    params, noise = gp.select_hyperparameters(data, grid)
+    params, noise = gp.select_hyperparameters(data, _floats(ls_multipliers),
+                                              _floats(noise_fractions))
     count = data.n if inducing is None else inducing
     strategy = "all" if count >= data.n else strategy
     idx = gp.select_inducing(data, min(count, data.n), strategy, seed)
@@ -371,13 +371,11 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
 
 @main.command("selftest")
 @_seed_option
-@click.option("--corrupt-projection", is_flag=True, hidden=True,
-              help="Negative-control hook: perturb A before the oracle check.")
-def cmd_selftest(seed, corrupt_projection):
+def cmd_selftest(seed):
     """Run the built-in oracle suite and report per-check deviations."""
     from .selftest import run_selftest
 
-    report = run_selftest(seed=seed, corrupt_projection=corrupt_projection)
+    report = run_selftest(seed=seed)
     ok = True
     for check in report:
         status = "PASS" if check["passed"] else "FAIL"

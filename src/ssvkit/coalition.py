@@ -21,7 +21,6 @@ from .errors import (
     BoundaryCoalition,
     CountOutOfRange,
     DimensionTooLarge,
-    JitterExceeded,
     SingularSystem,
 )
 
@@ -103,10 +102,15 @@ def _design_from_masks(d: int, masks: np.ndarray) -> CoalitionDesign:
     rows are ``1:-1``.  With no interior rows the ridge limit allocates
     v_full - v_empty equally.  Every array is ell x d or smaller.
 
+    The Shapley values are determined iff rank(Z_i^T Z_i + 1 1^T) == d
+    (interior rows plus the efficiency row): integer counts, exact in
+    float64, with no weights.  H may still be singular on a determined design; the
+    factorization's 1e-10 jitter cap absorbs that.
+
     Raises
     ------
     SingularSystem
-        If the reduced system is rank deficient beyond a 1e-10 jitter.
+        If the interior rows leave some direction of phi undetermined.
     """
     # duplicates from with-replacement sampling merge by summing weights
     masks, counts = np.unique(np.asarray(masks, dtype=np.int64), return_counts=True)
@@ -124,14 +128,15 @@ def _design_from_masks(d: int, masks: np.ndarray) -> CoalitionDesign:
     if ell == 2:
         A, H = np.tile(delta / d, (d, 1)), np.zeros((d, d))
     else:
-        ZW = Z[1:-1].T * weights[1:-1]                   # d x (ell - 2)
-        H = numerics.symmetrize(ZW @ Z[1:-1])
-        try:
-            factor = numerics.cholesky_psd(H, max_jitter=PROJECTION_JITTER)
-        except JitterExceeded as exc:
-            raise SingularSystem(
-                "too few distinct interior coalitions for a well-posed projection"
-            ) from exc
+        Zi = Z[1:-1]
+        rank = np.linalg.matrix_rank(Zi.T @ Zi + 1.0)
+        if rank < d:
+            raise SingularSystem(f"the {ell - 2} distinct interior coalitions and the "
+                                 f"efficiency row have rank {rank} < d = {d}, so some "
+                                 "Shapley values are undetermined; use more coalitions")
+        ZW = Zi.T * weights[1:-1]                        # d x (ell - 2)
+        H = numerics.symmetrize(ZW @ Zi)
+        factor = numerics.cholesky_psd(H, max_jitter=PROJECTION_JITTER)
         # G maps v -> Z_i^T W_i (v_interior - v_empty); column 0 is correctly rounded
         G = np.zeros((d, ell))
         G[:, 1:-1] = ZW

@@ -5,7 +5,8 @@ posterior mean vector and covariance matrix at the inducing rows, so any
 model producing that interface is interchangeable.  Here the posterior is
 computed by exact Gaussian conditioning on the full training set and the
 inducing rows are a subset of the training inputs, selected either
-uniformly at random or by greedy farthest-point traversal.
+uniformly at random or by greedy farthest-point traversal.  Kernel and
+noise come from a likelihood grid search, ``select_hyperparameters``.
 """
 
 from __future__ import annotations
@@ -203,44 +204,23 @@ def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float,
     )
 
 
-def _same_kernel(a: KernelParams, b: KernelParams) -> bool:
-    return a.variance == b.variance and np.array_equal(a.lengthscales, b.lengthscales)
-
-
-def select_hyperparameters(
-    data: Dataset, grid: Sequence[tuple[KernelParams, float]]
-) -> tuple[KernelParams, float]:
+def select_hyperparameters(data: Dataset,
+                           ls_multipliers: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
+                           noise_fractions: Sequence[float] = (1e-3, 1e-2, 1e-1, 1.0)
+                           ) -> tuple[KernelParams, float]:
     """Grid search maximizing the exact log marginal likelihood.
 
-    Ties break toward the earliest grid position.  The n x n gram depends
-    only on the kernel, so each run of consecutive grid points with the
-    same kernel (a lengthscale's noise levels in ``default_grid``) builds
-    it once and every point of the run factors it with its own noise on
-    the diagonal.  Memory stays at one gram plus one Cholesky factor, and
-    every point's likelihood is bit-identical to a fresh
-    ``log_marginal_likelihood`` call.
+    The grid crosses median-heuristic lengthscale multiples with fractions
+    of var(y) as noise, at unit kernel variance.  It runs lengthscale-major
+    and the first maximum wins.  Each multiplier builds one n x n gram,
+    which its noise levels factor with their own noise on the diagonal and
+    which is dropped before the next is built: memory stays at one gram
+    plus one factor, and every likelihood is bit-identical to a fresh call.
     """
-    if not grid:
-        raise ValueError("hyperparameter grid must be non-empty")
-    full = (1 << data.d) - 1
-    best, best_ll = None, -np.inf
-    K, K_params = None, None
-    for params, noise in grid:
-        if K_params is None or not _same_kernel(params, K_params):
-            K = None                            # drop the old gram before building the next
-            K, K_params = kernels.gram(params, full, data.X, data.X), params
-        ll = log_marginal_likelihood(data, params, noise, gram=K)
-        if ll > best_ll:
-            best, best_ll = (params, noise), ll
-    return best
-
-
-def default_grid(data: Dataset, ls_multipliers: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
-                 noise_fractions: Sequence[float] = (1e-3, 1e-2, 1e-1, 1.0)
-                 ) -> list[tuple[KernelParams, float]]:
-    """Median-heuristic lengthscale multiples crossed with fractions of var(y)."""
     for name, values in (("ls_multipliers", ls_multipliers),
                          ("noise_fractions", noise_fractions)):
+        if len(values) == 0:
+            raise ValueError(f"{name} must not be empty")
         for v in values:
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
@@ -249,5 +229,14 @@ def default_grid(data: Dataset, ls_multipliers: Sequence[float] = (0.25, 0.5, 1.
         var_y = float(np.var(data.y)) or 1.0
     if not np.isfinite(var_y):
         raise ValueError("the target's variance overflows a float; rescale the target")
-    return [(KernelParams(variance=1.0, lengthscales=mult * base), frac * var_y)
-            for mult in ls_multipliers for frac in noise_fractions]
+    best, best_ll = None, -np.inf
+    for mult in ls_multipliers:
+        params = KernelParams(variance=1.0, lengthscales=mult * base)
+        K = kernels.gram(params, (1 << data.d) - 1, data.X, data.X)
+        for frac in noise_fractions:
+            noise = frac * var_y
+            ll = log_marginal_likelihood(data, params, noise, gram=K)
+            if ll > best_ll:
+                best, best_ll = (params, noise), ll
+        del K                               # drop this gram before building the next
+    return best

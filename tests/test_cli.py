@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -181,6 +182,17 @@ class TestExplain:
             workdir,
         )
         assert res.returncode == 2
+
+    def test_under_determined_sampled_design_exits_3(self, workdir):
+        # at d = 3 one interior coalition and the efficiency row fix only 2 directions
+        fitted(workdir)
+        res = run_cli(["explain", "--posterior", "posterior.json", "--instances",
+                       "instances.csv", "--coalitions", "3", "-o", "sub.json"], workdir)
+        assert res.returncode == 3, res.stderr
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --coalitions 3: "), res.stderr
+        assert "rank 2 < d = 3" in lines[0]
+        assert not (workdir / "sub.json").exists()
 
     def test_feature_count_mismatch_exits_2(self, workdir):
         fitted(workdir)
@@ -628,9 +640,22 @@ class TestSelftest:
         assert len(lines) == 4
         assert all(l.startswith("[PASS]") for l in lines)
 
-    def test_negative_control_fails(self, workdir):
-        res = run_cli(["selftest", "--corrupt-projection"], workdir)
-        assert res.returncode == 1
+    def test_negative_control_fails(self, monkeypatch):
+        from click.testing import CliRunner
+
+        from ssvkit import cli, coalition
+
+        enumerate_coalitions = coalition.enumerate_coalitions
+
+        def corrupted(d):           # every full design with A[0, 0] off by 0.5
+            design = enumerate_coalitions(d)
+            A = design.A.copy()
+            A[0, 0] += 0.5
+            return dataclasses.replace(design, A=A)
+
+        monkeypatch.setattr(coalition, "enumerate_coalitions", corrupted)
+        res = CliRunner().invoke(cli.main, ["selftest"])
+        assert res.exit_code == 1
         assert "[FAIL] projection-vs-brute-force-oracle" in res.stdout
 
 

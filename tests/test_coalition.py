@@ -14,7 +14,12 @@ from ssvkit.coalition import (
     shapley_kernel_weight,
     shapley_of_variance_game,
 )
-from ssvkit.errors import BoundaryCoalition, CountOutOfRange, DimensionTooLarge
+from ssvkit.errors import (
+    BoundaryCoalition,
+    CountOutOfRange,
+    DimensionTooLarge,
+    SingularSystem,
+)
 
 
 def random_game(rng, design):
@@ -217,6 +222,25 @@ class TestProjection:
         # only the two boundary coalitions: ridge limit splits delta equally
         design = sample_coalitions(2, 2)
         np.testing.assert_allclose(design.A, [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-12)
+
+    @pytest.mark.parametrize("d,count,seed", [(6, 5, 0), (30, 12, 1)])
+    def test_under_determined_draw_raises(self, d, count, seed):
+        # (6, 5, 0): no interior row holds feature 3, so its value is free
+        with pytest.raises(SingularSystem, match=f"< d = {d}"):
+            sample_coalitions(d, count, seed)
+
+    @pytest.mark.parametrize("d,count,seed", [(2, 3, 0), (6, 12, 0), (10, 32, 4)])
+    def test_matches_the_minimum_norm_constrained_solution(self, d, count, seed):
+        # (2, 3, 0) has a singular Z_i^T W_i Z_i but is determined with the efficiency row
+        design = sample_coalitions(d, count, seed)
+        Zi, w, ell = design.Z[1:-1], design.weights[1:-1], design.n_coalitions
+        kkt = np.block([[Zi.T * w @ Zi, np.ones((d, 1))], [np.ones((1, d)), 0.0]])
+        rhs = np.zeros((d + 1, ell))        # the KKT right-hand side as a map of v
+        rhs[:d, 1:-1] = Zi.T * w
+        rhs[:d, 0] = -(Zi.T * w).sum(axis=1)
+        rhs[d, 0], rhs[d, -1] = -1.0, 1.0
+        A = (np.linalg.pinv(kkt) @ rhs)[:d]
+        np.testing.assert_allclose(design.A, A, rtol=0, atol=1e-10 * np.abs(A).max())
 
     def test_full_enumeration_matches_direct_formula(self, rng):
         # on a full design the WLS projection IS the Shapley operator

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,35 @@ from conftest import make_regression
 @pytest.fixture
 def small_data(rng):
     return make_regression(rng, n=30, d=3)
+
+
+LS_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
+NOISE_FRACTIONS = (1e-3, 1e-2, 1e-1, 1.0)
+
+
+def grid_points(data, ls_multipliers=LS_MULTIPLIERS, noise_fractions=NOISE_FRACTIONS):
+    """The (lengthscales, noise) the search visits, lengthscale-major."""
+    base = kernels.median_heuristic(data.X)
+    var_y = float(np.var(data.y))
+    return [(mult * base, frac * var_y) for mult in ls_multipliers for frac in noise_fractions]
+
+
+def fresh_lml(data, lengthscales, noise):
+    params = kernels.KernelParams(variance=1.0, lengthscales=lengthscales)
+    return gp.log_marginal_likelihood(data, params, noise)
+
+
+def spy(monkeypatch, module, name):
+    """Record (args, kwargs, result) of every call to ``module.name``."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 class TestDataset:
@@ -129,7 +159,7 @@ class TestFitExact:
 
         params = kernels.KernelParams(variance=1.5, lengthscales=np.ones(3) * 0.8)
         idx = np.array([20, 1, 7, 5])
-        grams = TestGramReuse.spy(monkeypatch, kernels, "gram")
+        grams = spy(monkeypatch, kernels, "gram")
         post = gp.fit_exact(small_data, params, noise=0.1, inducing=idx)
         monkeypatch.undo()
         assert len(grams) == 1
@@ -246,30 +276,27 @@ class TestMarginalLikelihood:
 
 class TestSelectHyperparameters:
     def test_picks_grid_maximum(self, small_data):
-        grid = gp.default_grid(small_data)
-        best_params, best_noise = gp.select_hyperparameters(small_data, grid)
+        best_params, best_noise = gp.select_hyperparameters(small_data)
         best_ll = gp.log_marginal_likelihood(small_data, best_params, best_noise)
-        for params, noise in grid:
-            assert best_ll >= gp.log_marginal_likelihood(small_data, params, noise) - 1e-9
+        for lengthscales, noise in grid_points(small_data):
+            assert best_ll >= fresh_lml(small_data, lengthscales, noise) - 1e-9
 
-    def test_tie_breaks_to_earliest(self, small_data):
-        params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
-        grid = [(params, 0.5), (params, 0.5)]
-        chosen = gp.select_hyperparameters(small_data, grid)
-        assert chosen == grid[0]
+    def test_tie_breaks_to_earliest(self, small_data, monkeypatch):
+        grams = spy(monkeypatch, kernels, "gram")
+        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        params, noise = gp.select_hyperparameters(small_data, [1.0, 1.0], [0.5, 0.5])
+        assert len(grams) == 2 and len({ll for _, _, ll in lmls}) == 1
+        assert params is grams[0][0][0] and params is lmls[0][0][1]
+        assert noise == lmls[0][0][2] == 0.5 * float(np.var(small_data.y))
 
-    def test_empty_grid(self, small_data):
-        with pytest.raises(ValueError):
-            gp.select_hyperparameters(small_data, [])
-
-    def test_default_grid_crosses_the_given_multipliers_and_fractions(self, small_data):
-        base = kernels.median_heuristic(small_data.X)
-        var_y = float(np.var(small_data.y))
-        grid = gp.default_grid(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
-        assert [noise for _, noise in grid] == [f * var_y for f in (0.1, 0.2, 0.3)] * 2
-        for k, (params, _) in enumerate(grid):
-            np.testing.assert_array_equal(params.lengthscales, [0.5, 3.0][k // 3] * base)
-            assert params.variance == 1.0
+    def test_grid_crosses_the_given_multipliers_and_fractions(self, small_data, monkeypatch):
+        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        gp.select_hyperparameters(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
+        want = grid_points(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
+        assert len(lmls) == len(want) == 6
+        for (args, _, _), (lengthscales, noise) in zip(lmls, want):
+            np.testing.assert_array_equal(args[1].lengthscales, lengthscales)
+            assert args[1].variance == 1.0 and args[2] == noise
 
     @pytest.mark.parametrize("ls,noise,message", [
         ([1.0, 0.0], [0.1], "ls_multipliers must be positive and finite, got 0.0"),
@@ -277,62 +304,73 @@ class TestSelectHyperparameters:
         ([1.0], [-1.0], "noise_fractions must be positive and finite, got -1.0"),
         ([1.0], [0.1, np.nan], "noise_fractions must be positive and finite, got nan"),
     ])
-    def test_default_grid_rejects_bad_values(self, small_data, ls, noise, message):
+    def test_default_grid_rejects_bad_values(self, small_data, monkeypatch, ls, noise,
+                                             message):
+        medians = spy(monkeypatch, kernels, "median_heuristic")
         with pytest.raises(ValueError, match=message):
-            gp.default_grid(small_data, ls, noise)
+            gp.select_hyperparameters(small_data, ls, noise)
+        assert medians == []        # validated before any work
 
-    def test_default_grid_shape(self, small_data):
-        grid = gp.default_grid(small_data)
-        assert len(grid) == 20
-        noises = sorted({noise for _, noise in grid})
+    def test_empty_grid(self, small_data):
+        with pytest.raises(ValueError, match="ls_multipliers must not be empty"):
+            gp.select_hyperparameters(small_data, [], [0.1])
+        with pytest.raises(ValueError, match="noise_fractions must not be empty"):
+            gp.select_hyperparameters(small_data, [1.0], [])
+
+    def test_default_grid_shape(self, small_data, monkeypatch):
+        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        gp.select_hyperparameters(small_data)
+        assert len(lmls) == 20
+        noises = sorted({args[2] for args, _, _ in lmls})
         var_y = np.var(small_data.y)
         assert noises[0] == pytest.approx(1e-3 * var_y)
         assert noises[-1] == pytest.approx(var_y)
 
 
 class TestGramReuse:
-    """``select_hyperparameters`` builds one n x n gram per run of grid
-    points sharing a kernel and hands it to ``log_marginal_likelihood``."""
-
-    @staticmethod
-    def spy(monkeypatch, module, name):
-        calls, original = [], getattr(module, name)
-
-        def recorded(*args, **kwargs):
-            result = original(*args, **kwargs)
-            calls.append((args, kwargs, result))
-            return result
-
-        monkeypatch.setattr(module, name, recorded)
-        return calls
+    """``select_hyperparameters`` builds one n x n gram per lengthscale
+    multiplier and hands it to ``log_marginal_likelihood``."""
 
     def test_default_grid_builds_one_gram_per_lengthscale(self, small_data, monkeypatch):
-        grid = gp.default_grid(small_data)
-        grams = self.spy(monkeypatch, kernels, "gram")
-        gp.select_hyperparameters(small_data, grid)
+        grams = spy(monkeypatch, kernels, "gram")
+        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        gp.select_hyperparameters(small_data)
         assert len(grams) == 5
-        for (args, _, _), (params, _) in zip(grams, grid[::4]):
-            assert args[0] is params
+        for (args, _, K), run in zip(grams, [lmls[k:k + 4] for k in range(0, 20, 4)]):
+            for lml_args, lml_kwargs, _ in run:
+                assert lml_args[1] is args[0] and lml_kwargs["gram"] is K
 
-    @pytest.mark.parametrize("order", ["default", "interleaved"])
-    def test_grid_likelihoods_equal_fresh_calls_bit_for_bit(self, small_data,
-                                                            monkeypatch, order):
-        grid = gp.default_grid(small_data)
-        if order == "interleaved":          # no two neighbours share a kernel
-            grid = [grid[k] for j in range(4) for k in range(j, 20, 4)]
-        lmls = self.spy(monkeypatch, gp, "log_marginal_likelihood")
-        chosen = gp.select_hyperparameters(small_data, grid)
+    def test_holds_at_most_one_gram(self, small_data, monkeypatch):
+        refs, original = [], kernels.gram
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in refs), "an earlier gram is still alive"
+            K = original(*args, **kwargs)
+            refs.append(weakref.ref(K))
+            return K
+
+        monkeypatch.setattr(kernels, "gram", tracked)
+        gp.select_hyperparameters(small_data)
+        assert len(refs) == 5
+
+    def test_grid_likelihoods_equal_fresh_calls_bit_for_bit(self, small_data, monkeypatch):
+        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        chosen_params, chosen_noise = gp.select_hyperparameters(small_data)
         monkeypatch.undo()
+        grid = grid_points(small_data)
         assert len(lmls) == 20
-        fresh = [gp.log_marginal_likelihood(small_data, params, noise)
-                 for params, noise in grid]
-        for (args, kwargs, ll), (params, noise), want in zip(lmls, grid, fresh):
-            assert args[1:] == (params, noise) and kwargs["gram"] is not None
+        fresh = [fresh_lml(small_data, lengthscales, noise) for lengthscales, noise in grid]
+        for (args, kwargs, ll), (lengthscales, noise), want in zip(lmls, grid, fresh):
+            np.testing.assert_array_equal(args[1].lengthscales, lengthscales)
+            assert args[2] == noise and kwargs["gram"] is not None
             assert ll == want
-        assert chosen == grid[int(np.argmax(fresh))]
+        lengthscales, noise = grid[int(np.argmax(fresh))]
+        np.testing.assert_array_equal(chosen_params.lengthscales, lengthscales)
+        assert chosen_noise == noise
 
     def test_callers_gram_is_left_bit_identical(self, small_data):
-        params, noise = gp.default_grid(small_data)[6]
+        lengthscales, noise = grid_points(small_data)[6]
+        params = kernels.KernelParams(variance=1.0, lengthscales=lengthscales)
         K = kernels.gram(params, 0b111, small_data.X, small_data.X)
         before = K.tobytes()
         ll = gp.log_marginal_likelihood(small_data, params, noise, gram=K)
@@ -340,7 +378,8 @@ class TestGramReuse:
         assert ll == gp.log_marginal_likelihood(small_data, params, noise)
 
     def test_callers_gram_is_restored_when_the_factorization_fails(self, small_data):
-        params, _ = gp.default_grid(small_data)[0]
+        params = kernels.KernelParams(variance=1.0,
+                                      lengthscales=grid_points(small_data)[0][0])
         K = -kernels.gram(params, 0b111, small_data.X, small_data.X)
         before = K.tobytes()
         with pytest.raises(JitterExceeded):  # a diagonal of -1 plus 0.5 is indefinite
