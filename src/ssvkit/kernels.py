@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooFewPoints
 
-# bound on |a|^2 + |b|^2 under which no step of the gram's expansion overflows
+# bound on |a|^2 + |b|^2 under which no step of the gram's GEMM form overflows
 NORM_LIMIT = np.finfo(float).max / 4
 # rows median_heuristic reads at most: n(n-1)/2 pair distances, 4.0 MB
 MEDIAN_MAX_ROWS = 1000
@@ -71,6 +71,12 @@ def gram(params: KernelParams, mask: int, A: np.ndarray, B: np.ndarray) -> np.nd
     (A[i,u]-B[j,u])^2 / ls[u]^2)``; the empty coalition yields the all-ones
     matrix (times nothing: the output scale is deliberately dropped there so
     the empty-coalition weights reduce to a plain average).
+
+    The squared distances come from one GEMM of the scaled inputs augmented
+    with their halved squared norms, ``-|a - b|^2 / 2 = a.b - |a|^2/2 -
+    |b|^2/2``, followed by three elementwise passes (clip at 0, exp,
+    scale).  Where ``|a|^2 + |b|^2`` could overflow (above ``NORM_LIMIT``)
+    the squared differences are summed directly instead.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -86,17 +92,24 @@ def gram(params: KernelParams, mask: int, A: np.ndarray, B: np.ndarray) -> np.nd
     if idx.size == 0:
         return np.ones((A.shape[0], B.shape[0]))
     ls = params.lengthscales[idx]
+    k = idx.size
+    # the scaled inputs, each with two more columns for the norm terms
+    Aa, Ba = np.empty((A.shape[0], k + 2)), np.empty((B.shape[0], k + 2))
     with np.errstate(over="ignore"):    # an overflow here fails the check
-        As, Bs = A[:, idx] / ls, B[:, idx] / ls
-        sa, sb = np.sum(As**2, axis=1), np.sum(Bs**2, axis=1)
+        As = np.divide(A[:, idx], ls, out=Aa[:, :k])
+        Bs = np.divide(B[:, idx], ls, out=Ba[:, :k])
+        # np.sum's bits without np.sum's wrapper, which costs more than the
+        # sum on small grams
+        sa, sb = np.add.reduce(As**2, axis=1), np.add.reduce(Bs**2, axis=1)
         expand = sa.max(initial=0.0) + sb.max(initial=0.0) <= NORM_LIMIT
     if expand:
-        # |a|^2 - 2 a.b + |b|^2 stays below the largest float: clipped at 0,
-        # then variance * exp(-sq / 2), every step in the one output buffer
-        out = (2.0 * As) @ Bs.T
-        np.subtract(sa[:, None], out, out=out)
-        out += sb[None, :]
-        np.maximum(out, 0.0, out=out)
+        # one GEMM: [As, -|a|^2/2, 1] . [Bs, 1, -|b|^2/2]^T = -|a - b|^2 / 2,
+        # clipped at 0, then variance * exp(.), in the one output buffer
+        np.multiply(sa, -0.5, out=Aa[:, k])
+        np.multiply(sb, -0.5, out=Ba[:, k + 1])
+        Aa[:, k + 1] = Ba[:, k] = 1.0
+        out = Aa @ Ba.T
+        np.minimum(out, 0.0, out=out)
     else:
         # scaled inputs too large for the expansion: sum the squared scaled
         # differences directly; one that overflows is inf and gives k == 0
@@ -104,7 +117,7 @@ def gram(params: KernelParams, mask: int, A: np.ndarray, B: np.ndarray) -> np.nd
         with np.errstate(over="ignore"):
             for u, l in zip(idx, ls):
                 out += ((A[:, u, None] - B[None, :, u]) / l) ** 2
-    out *= -0.5
+        out *= -0.5
     np.exp(out, out=out)
     out *= params.variance
     return out

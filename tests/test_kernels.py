@@ -54,6 +54,23 @@ class TestGram:
         direct = np.exp(-0.5 * np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2))
         np.testing.assert_allclose(gram(unit, 0b111, A, B), direct, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_one_gemm_form_matches_the_direct_differences(self, d):
+        # measured: at most 4.2e-15 of the variance (d = 9), and 1.8e-15 on
+        # the 300 x 300 gram of 300 rows of 6 features, where the one-GEMM
+        # form differs from the former expansion |a|^2 - 2a.b + |b|^2 by 3.9e-16
+        rng = np.random.default_rng(d)
+        params = KernelParams(variance=1.7, lengthscales=rng.uniform(0.3, 3.0, d))
+        A, B = rng.normal(size=(200, d)), rng.normal(size=(100, d))
+        pairs = [(A, B), (A[:40], B[:30])]
+        if d == 6:
+            X = rng.normal(size=(300, d))
+            pairs.append((X, X))
+        for a, b in pairs:
+            sq = np.sum(((a[:, None, :] - b[None, :, :]) / params.lengthscales) ** 2, axis=2)
+            K = gram(params, (1 << d) - 1, a, b)
+            assert np.max(np.abs(K - params.variance * np.exp(-0.5 * sq))) <= 1e-14 * params.variance
+
     def test_empty_subset_is_all_ones(self, params, rng):
         A = rng.normal(size=(4, 3))
         B = rng.normal(size=(5, 3))

@@ -30,8 +30,8 @@ class TestCholeskyPsd:
             numerics.cholesky_psd(m, max_jitter=1e-6)
 
     def test_non_numerical_failure_is_not_retried(self, monkeypatch):
-        # only LinAlgError climbs the jitter ladder; anything else surfaces
-        # on the first attempt
+        # only a positive dpotrf info climbs the jitter ladder; anything
+        # else surfaces on the first attempt
         import scipy.linalg
 
         calls = []
@@ -40,7 +40,7 @@ class TestCholeskyPsd:
             calls.append(args)
             raise MemoryError
 
-        monkeypatch.setattr(scipy.linalg, "cholesky", out_of_memory)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", out_of_memory)
         with pytest.raises(MemoryError):
             numerics.cholesky_psd(np.eye(3))
         assert len(calls) == 1
@@ -73,13 +73,13 @@ class TestCholeskyPsd:
         import scipy.linalg
 
         seen = []
-        original = scipy.linalg.cholesky
+        original = scipy.linalg.lapack.dpotrf
 
         def spy(a, *args, **kwargs):
             seen.append(a)
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cholesky", spy)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
         m = 2.0 * np.eye(3)
         numerics.cholesky_psd(m)
         assert len(seen) == 1 and seen[0] is m
@@ -105,13 +105,13 @@ class TestShift:
         import scipy.linalg
 
         seen = []
-        original = scipy.linalg.cholesky
+        original = scipy.linalg.lapack.dpotrf
 
         def recorded(a, *args, **kwargs):
             seen.append((a, a.copy(), kwargs))
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cholesky", recorded)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recorded)
         return seen
 
     # (gram, shift, jitter the factorization needs); -1e-16 rounds differently
@@ -260,6 +260,75 @@ class TestSolve:
         factor = numerics.cholesky_psd(m, shift=shift)
         assert factor.jitter_used == jitter
         assert factor.lower.flags.f_contiguous
+
+    # right-hand sides that take the right-side path, from a row-major m x 100
+    # cross-gram: n = 1 (a column view), 2, 100 columns and a strided one
+    RIGHT_COLUMNS = {
+        "n=1": lambda B: B[:, 1:2],
+        "n=2": lambda B: B[:, :2].copy(),
+        "n=100": lambda B: B,
+        "strided": lambda B: B[:, ::3],
+    }
+
+    @staticmethod
+    def right_problem(m):
+        """``solve_problem``'s system at m rows with a shift of 1, so that it
+        stays well-conditioned (condition number 23-76 for m = 96..333)."""
+        rng = np.random.default_rng(m)
+        rows, X = rng.normal(size=(m, 3)), rng.normal(size=(100, 3))
+        params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
+        factor = numerics.cholesky_psd(kernels.gram(params, 0b111, rows, rows), shift=1.0)
+        return factor, kernels.gram(params, 0b111, rows, X)
+
+    @pytest.mark.parametrize("columns", RIGHT_COLUMNS)
+    @pytest.mark.parametrize("m", [numerics._SOLVE_LEAF, numerics._SOLVE_LEAF + 1,
+                                   97, 129, 200, 333])
+    def test_recursive_right_side_solve_agrees_with_cho_solve(self, m, columns):
+        from scipy.linalg import cho_solve
+
+        factor, B = self.right_problem(m)
+        b = self.RIGHT_COLUMNS[columns](B)
+        assert b.ndim == 2 and not b.flags.f_contiguous
+        b_before, L_before = b.tobytes(), factor.lower.tobytes()
+        x, want = factor.solve(b), cho_solve((factor.lower, True), b)
+        assert x.shape == b.shape and x.flags.c_contiguous
+        assert b.tobytes() == b_before and factor.lower.tobytes() == L_before
+        # measured: at most 5.9e-15 of max|x| over these 24 cases
+        assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [50, numerics._SOLVE_LEAF])
+    def test_right_side_at_or_below_the_leaf_is_two_dtrsm_bit_for_bit(self, m):
+        from scipy.linalg import blas
+
+        factor, B = self.right_problem(m)
+        L = factor.lower
+        xt = blas.dtrsm(1.0, L, B.T, side=1, lower=1, trans_a=1)
+        want = blas.dtrsm(1.0, L, xt, side=1, lower=1).T
+        assert factor.solve(B).tobytes() == want.tobytes()
+
+    def test_recursive_solve_backward_error_on_an_ill_conditioned_coalition(self):
+        # a one-feature coalition of 200 rows of ten at lengthscale 3 plus
+        # lambda = 1e-3 * m: condition number about 900, near the ~1,000 a
+        # unit-variance gram can reach at that lambda.  Measured: the
+        # normwise backward error is 1.7e-16 against cho_solve's 2.0e-16, a
+        # ratio of 0.82-0.88 over five seeds
+        from scipy.linalg import cho_solve
+
+        rng = np.random.default_rng(0)
+        rows, X = rng.normal(size=(200, 10)), rng.normal(size=(100, 10))
+        params = kernels.KernelParams(variance=1.0, lengthscales=np.full(10, 3.0))
+        K = kernels.gram(params, 0b1, rows, rows)
+        M = K + 0.2 * np.eye(200)
+        factor = numerics.cholesky_psd(K, shift=0.2)
+        b = kernels.gram(params, 0b1, rows, X)
+
+        def backward_error(x):
+            return np.linalg.norm(M @ x - b) / (np.linalg.norm(M, 2) * np.linalg.norm(x)
+                                                + np.linalg.norm(b))
+
+        assert np.linalg.cond(M) > 500
+        assert (backward_error(factor.solve(b))
+                <= 2.0 * backward_error(cho_solve((factor.lower, True), b)))
 
 
 class TestSolveRegularized:
