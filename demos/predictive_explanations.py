@@ -38,7 +38,7 @@ train, test = np.arange(50), np.arange(50, n)
 anchors = shapley_prior.farthest_point_anchors(X[train], 50)
 model = shapley_prior.fit(
     ssvkit.ExplanationDataset(X=X[train], Phi=batch.means[train]),
-    anchors, params, design, lam=1e-3 * anchors.shape[0], noise=1e-4,
+    anchors, params, design, lam=None, noise=1e-4,
 )
 
 # --- predict the held-out 20 and compare ---------------------------------

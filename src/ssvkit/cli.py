@@ -2,9 +2,9 @@
 
 Every subcommand is deterministic under its seed; JSON outputs are
 pretty-printed with stable key order so reruns are byte-identical.
-Exit codes: 2 for input problems, 3 for numerics failures, 1 for selftest
-oracle failures; ``_Main.invoke`` is the only place that maps errors to
-the first two.
+Exit codes: 2 for input problems (usage errors included), 3 for numerics
+failures, 1 for selftest oracle failures; ``_Main.invoke`` is the only place
+that maps errors to the first two.
 """
 
 from __future__ import annotations
@@ -14,22 +14,25 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
 
-from . import analysis, cme, coalition, explain, gp, kernels, numerics, shapley_prior
+from . import analysis, coalition, explain, gp, kernels, numerics, shapley_prior
 from .errors import SingularSystem, SsvkitError
 
 
 class _Main(click.Group):
-    """The one map from errors to exit codes: an input error (a ``ValueError``,
-    as the library's input errors are, or an ``OSError``) exits 2 and any other
-    ``SsvkitError`` (numerics) exits 3, each with one ``error:`` line."""
+    """The one map from errors to exit codes: an input error (a ``ValueError``
+    as the library's are, an ``OSError`` or a click usage error) exits 2 and any
+    other ``SsvkitError`` (numerics) exits 3, each with one ``error:`` line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            code, message = 2, exc.format_message()
         except (ValueError, OSError) as exc:
             code, message = 2, str(exc)
         except SsvkitError as exc:
@@ -97,8 +100,19 @@ def _write(path: str, text: str):
             fh.write(text)
 
 
-def _floats(spec: str) -> list[float]:
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+@contextmanager
+def _naming(option: str, value):
+    """Prefix an input or design error raised inside with ``option value: ``."""
+    try:
+        yield
+    except (ValueError, SingularSystem) as exc:     # same type, so the same exit code
+        raise type(exc)(f"{option} {value}: {exc}") from None
+
+
+def _floats(ctx, param, spec: str) -> list[float]:
+    """Click callback: the comma-separated numbers an option's value lists."""
+    with _naming(param.opts[0], spec):
+        return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
 def _credible_level(ctx, param, value):
@@ -119,22 +133,12 @@ _seed_option = click.option("--seed", type=int, default=0, show_default=True,
                             callback=_non_negative_seed)
 
 
-def _credible_entries(level: float | None, means: np.ndarray, sds) -> dict:
-    """A JSON output's credible_level, lo and hi entries; ``sds`` is called only at a level."""
-    if not level:
-        return {}
-    lo, hi = explain.credible_intervals(means, sds(), level)
-    return {"credible_level": level, "lo": lo.tolist(), "hi": hi.tolist()}
-
-
 def _design(d: int, coalitions: str, seed: int) -> coalition.CoalitionDesign:
     """The design a --coalitions value names: 'full' or a sampled count."""
-    try:
+    with _naming("--coalitions", coalitions):
         if coalitions == "full":
             return coalition.enumerate_coalitions(d)
         return coalition.sample_coalitions(d, int(coalitions), seed)
-    except (ValueError, SingularSystem) as exc:     # same type, so the same exit code
-        raise type(exc)(f"--coalitions {coalitions}: {exc}") from None
 
 
 @click.group(cls=_Main)
@@ -146,13 +150,13 @@ def main():
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--target", required=True, help="Name of the target column.")
 @click.option("--inducing", type=int, default=None,
-              help="Number of inducing rows (default: all).")
-@click.option("--strategy", type=click.Choice(["all", "uniform", "farthest_point"]),
+              help="Number of inducing rows (omitted or at least the row count: all).")
+@click.option("--strategy", type=click.Choice(["uniform", "farthest_point"]),
               default="farthest_point", show_default=True)
 @click.option("--ls-multipliers", default="0.25,0.5,1,2,4", show_default=True,
-              help="Median-heuristic lengthscale multiples to grid over.")
+              callback=_floats, help="Median-heuristic lengthscale multiples to grid over.")
 @click.option("--noise-fractions", default="1e-3,1e-2,1e-1,1", show_default=True,
-              help="Noise grid as fractions of var(y).")
+              callback=_floats, help="Noise grid as fractions of var(y).")
 @_seed_option
 @click.option("--output", "-o", default="posterior.json", show_default=True)
 def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractions,
@@ -160,11 +164,11 @@ def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractio
     """Fit an exact GP to a CSV dataset and store its inducing-set posterior."""
     _, X, y = _read_csv_matrix(data_path, target)
     data = gp.Dataset(X=X, y=y)
-    params, noise = gp.select_hyperparameters(data, _floats(ls_multipliers),
-                                              _floats(noise_fractions))
-    count = data.n if inducing is None else inducing
-    strategy = "all" if count >= data.n else strategy
-    idx = gp.select_inducing(data, min(count, data.n), strategy, seed)
+    params, noise = gp.select_hyperparameters(data, ls_multipliers, noise_fractions)
+    idx = None                                      # every row
+    if inducing is not None and inducing < data.n:
+        with _naming("--inducing", inducing):
+            idx = gp.select_inducing(data, inducing, strategy, seed)
     posterior = gp.fit_exact(data, params, noise, idx)
     ll = gp.log_marginal_likelihood(data, params, noise)
     _write(output, posterior.to_json() + "\n")
@@ -214,11 +218,8 @@ def cmd_explain(posterior_path, instances_path, algo, coalitions, lam, ell0,
         base = explain.gpshap(posterior, design, X, lam)
         batch = explain.bayesshap_deterministic(base.payoff_means, design, config,
                                                 feature_names=names)
-    if fmt == "csv":
-        _write(output, batch.to_csv(level=credible if credible else 0.95))
-    else:
-        extra = _credible_entries(credible, batch.means, batch.stds)
-        _write(output, batch.to_json(X=X.tolist(), **extra) + "\n")
+    _write(output, batch.to_csv(credible or 0.95) if fmt == "csv"
+           else batch.to_json(credible, X=X.tolist()) + "\n")
     click.echo(f"explained {X.shape[0]} instances with {algo} "
                f"({design.n_coalitions} coalitions)", err=output == "-")
 
@@ -299,7 +300,8 @@ def _load_explanations(path: str, need: str):
 @click.option("--anchors", type=int, default=50, show_default=True,
               help="Farthest-point anchor count for the explanation kernel.")
 @click.option("--coalitions", default="full", show_default=True)
-@click.option("--lam", type=float, default=None)
+@click.option("--lam", type=float, default=None,
+              help="CME regularizer (default 1e-3 * anchors).")
 @click.option("--noise", type=float, default=1e-2, show_default=True)
 @click.option("--credible", type=float, default=None, callback=_credible_level)
 @_seed_option
@@ -316,13 +318,9 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
     data = shapley_prior.ExplanationDataset(X=X, Phi=Phi)
     anchor_pts = shapley_prior.farthest_point_anchors(X, anchors)
     params = kernels.KernelParams(variance=1.0, lengthscales=kernels.median_heuristic(X))
-    if lam is None:
-        lam = cme.default_lambda(anchor_pts.shape[0])
     model = shapley_prior.fit(data, anchor_pts, params, design, lam, noise)
     means, covs = shapley_prior.predict_batch(model, X_new)
-    out = {"means": means.tolist(), "cov": covs.tolist(),
-           **_credible_entries(credible, means, lambda: explain.marginal_sds(covs))}
-    _write(output, json.dumps(out, indent=2, sort_keys=True) + "\n")
+    _write(output, explain.document(means, covs, credible) + "\n")
     click.echo(f"predicted explanations for {X_new.shape[0]} instances "
                f"from {X.shape[0]} observed ones", err=output == "-")
 

@@ -50,8 +50,10 @@ CHUNK_ENTRIES = 1 << 20
 
 
 def _coalition_factor(kernel: KernelParams, mask: int, rows: np.ndarray,
-                      lam: float) -> CholeskyFactor:
-    """Cholesky factor of K_S + lambda*I over the embedding rows."""
+                      lam: float | None) -> CholeskyFactor:
+    """Cholesky factor of K_S + lambda*I over the m rows; lambda None is default_lambda(m)."""
+    if lam is None:
+        lam = default_lambda(rows.shape[0])
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
     return numerics.cholesky_psd(kernels.gram(kernel, mask, rows, rows), shift=lam)
@@ -137,7 +139,7 @@ class CoalitionEmbedding:
 
 
 def coalition_embedding(kernel: KernelParams, rows: np.ndarray, design: CoalitionDesign,
-                        lam: float) -> CoalitionEmbedding:
+                        lam: float | None) -> CoalitionEmbedding:
     """Factor K_S + lambda*I once for every coalition of ``design``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     factors = tuple(_coalition_factor(kernel, mask, rows, lam) for mask in design.masks)
@@ -197,8 +199,6 @@ def _one_batch(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.nd
         )
     if posterior.d != design.d:
         raise DesignMismatch("posterior and design disagree on feature count")
-    if lam is None:
-        lam = default_lambda(posterior.n_inducing)
     factors = (_coalition_factor(posterior.kernel, mask, posterior.inducing_points, lam)
                for mask in design.masks)
     return X_explain, factors

@@ -88,20 +88,14 @@ class ExplanationBatch:
         """Per-instance, per-feature standard deviations, shape n x d."""
         return marginal_sds(np.stack([self.covariance(k) for k in range(self.n_instances)]))
 
-    def to_json(self, **extra) -> str:
-        """The explanation document, with the JSON-ready ``extra`` entries
-        added to it: one encoding pass for whatever a caller writes."""
+    def to_json(self, level: float | None = None, **extra) -> str:
+        """``document`` of this batch with its names, design digest and sigma2."""
         names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
-        doc = {
-            **extra,
-            "feature_names": names,
-            "means": self.means.tolist(),
-            "design_digest": self.design.digest(),
-            "cov": [self.covariance(k).tolist() for k in range(self.n_instances)],
-        }
         if self.sigma2_samples is not None:
-            doc["sigma2"] = self.sigma2_samples.tolist()
-        return json.dumps(doc, indent=2, sort_keys=True)
+            extra["sigma2"] = self.sigma2_samples.tolist()
+        covs = [self.covariance(k) for k in range(self.n_instances)]
+        return document(self.means, np.reshape(covs, (-1, self.d, self.d)), level, **extra,
+                        feature_names=names, design_digest=self.design.digest())
 
     def to_csv(self, level: float = 0.95) -> str:
         names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
@@ -222,6 +216,17 @@ def marginal_sds(covs: np.ndarray) -> np.ndarray:
     """Standard deviations on the diagonals of a stack of covariances (n x d x d),
     shape n x d; a negative rounding residue reads as 0."""
     return np.sqrt(np.maximum(np.diagonal(covs, axis1=1, axis2=2), 0.0))
+
+
+def document(means: np.ndarray, covs: np.ndarray, level: float | None = None,
+             **entries) -> str:
+    """The one writer of the explanation document: ``means`` (n x d), ``cov``
+    (n x d x d), at a credible ``level`` its ``lo``/``hi`` bounds, and ``entries``."""
+    doc = {**entries, "means": means.tolist(), "cov": covs.tolist()}
+    if level is not None:
+        lo, hi = credible_intervals(means, marginal_sds(covs), level)
+        doc.update(credible_level=level, lo=lo.tolist(), hi=hi.tolist())
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def credible_intervals(means: np.ndarray, sds: np.ndarray,

@@ -120,19 +120,17 @@ class GPPosterior:
         return posterior
 
 
-def select_inducing(data: Dataset, count: int, strategy: str = "all",
+def select_inducing(data: Dataset, count: int, strategy: str = "farthest_point",
                     seed: int = 0) -> np.ndarray:
-    """Pick inducing rows from the training set.
+    """Pick ``count`` inducing rows from the training set.
 
-    ``all`` returns every index, ``uniform`` samples without replacement,
-    ``farthest_point`` greedily maximizes the minimum Euclidean distance
-    starting from the point nearest the data mean.
+    ``uniform`` samples without replacement, ``farthest_point`` greedily
+    maximizes the minimum Euclidean distance starting from the point nearest
+    the data mean.  Every row is ``fit_exact``'s ``inducing=None``.
     """
     n = data.n
     if not (1 <= count <= n):
         raise CountOutOfRange(f"count must be in [1, {n}], got {count}")
-    if strategy == "all":
-        return np.arange(n)
     if strategy == "uniform":
         rng = np.random.default_rng(seed)
         return np.sort(rng.choice(n, size=count, replace=False))
@@ -171,9 +169,7 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
     its own copy.
     """
     _require_noise(noise)
-    if inducing is None:
-        inducing = np.arange(data.n)
-    inducing = np.asarray(inducing, dtype=int)
+    inducing = np.arange(data.n) if inducing is None else np.asarray(inducing, dtype=int)
 
     K = kernels.gram(kernel, (1 << data.d) - 1, data.X, data.X)
     K_ix, K_ii = K[inducing], K[np.ix_(inducing, inducing)]

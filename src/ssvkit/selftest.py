@@ -96,7 +96,7 @@ def check_prior_payoff_identity(seed: int) -> float:
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(d))
         model = shapley_prior.fit(
             shapley_prior.ExplanationDataset(X=X, Phi=Phi),
-            anchors=X, kernel=params, design=design, lam=cme.default_lambda(n), noise=1e-2,
+            anchors=X, kernel=params, design=design, lam=None, noise=1e-2,
         )
         x_new = rng.normal(size=d)
         mean, _ = shapley_prior.predict(model, x_new)

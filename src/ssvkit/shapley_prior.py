@@ -91,8 +91,8 @@ def kappa(model: ShapleyPriorModel, x: np.ndarray, x2: np.ndarray) -> np.ndarray
 
 
 def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
-        design: CoalitionDesign, lam: float, noise: float) -> ShapleyPriorModel:
-    """Fit the multi-output GP: the posterior of the m anchor weights."""
+        design: CoalitionDesign, lam: float | None, noise: float) -> ShapleyPriorModel:
+    """Fit the anchor weights' posterior (the multi-output GP); lam None: default_lambda(m)."""
     gp._require_noise(noise)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n, d, m = data.n, data.d, anchors.shape[0]

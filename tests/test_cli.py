@@ -109,6 +109,27 @@ class TestFit:
         assert np.asarray(doc["inducing_points"]).shape == (6, d)
         assert f"d={d} " in res.stdout
 
+    def test_every_row_when_inducing_is_omitted_or_at_least_n(self, workdir):
+        fit = ["fit", "--data", "train.csv", "--target", "target"]
+        for args, out in (([], "omitted.json"), (["--inducing", "40"], "n.json"),
+                          (["--inducing", "41", "--strategy", "uniform"], "above.json")):
+            res = run_cli([*fit, *args, "-o", out], workdir)
+            assert res.returncode == 0, res.stderr
+            assert "n_inducing=40 " in res.stdout
+        omitted = (workdir / "omitted.json").read_bytes()
+        assert (workdir / "n.json").read_bytes() == omitted
+        assert (workdir / "above.json").read_bytes() == omitted
+        train = np.loadtxt(workdir / "train.csv", delimiter=",", skiprows=1)[:, :3]
+        np.testing.assert_array_equal(json.loads(omitted)["inducing_points"], train)
+
+    def test_uniform_strategy_keeps_the_count(self, workdir):
+        res = run_cli(["fit", "--data", "train.csv", "--target", "target", "--inducing", "10",
+                       "--strategy", "uniform", "--seed", "3", "-o", "uniform.json"], workdir)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads((workdir / "uniform.json").read_text())
+        assert np.asarray(doc["inducing_points"]).shape == (10, 3)
+        assert "n_inducing=10 " in res.stdout
+
     def test_sampled_design_beyond_30_features_exits_2(self, tmp_path):
         assert self.fit_wide(tmp_path, 31).returncode == 0
         res = run_cli(["explain", "--posterior", "posterior.json",
@@ -209,6 +230,68 @@ def assert_one_line_input_error(res):
     assert "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+class TestUsageErrors:
+    EXPLAIN = ["explain", "--posterior", "posterior.json", "--instances", "instances.csv"]
+
+    @pytest.mark.parametrize("args,where", [
+        (EXPLAIN + ["--algo", "bogus"], "'--algo'"),
+        (["fit", "--data", "train.csv", "--target", "target", "--strategy", "all",
+          "--inducing", "5"], "'--strategy'"),
+        (["fit", "--data", "train.csv", "--target", "target", "--inducing", "abc"],
+         "'--inducing'"),
+        (EXPLAIN + ["--lam", "abc"], "'--lam'"),
+        (["fit", "--target", "target"], "'--data'"),
+        (EXPLAIN + ["--bogus", "1"], "'--bogus'"),
+    ], ids=["bad-choice", "strategy-all", "inducing-text", "lam-text", "missing-data",
+            "unknown-option"])
+    def test_usage_error_is_one_line(self, explained, args, where):
+        res = run_cli(args, explained)
+        assert_one_line_input_error(res)
+        assert where in res.stderr and "Usage:" not in res.stderr
+
+    def test_help_prints_the_usage_block(self, tmp_path):
+        res = run_cli(["fit", "--help"], tmp_path)
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout.startswith("Usage: ") and "[uniform|farthest_point]" in res.stdout
+
+
+class TestCredibleBounds:
+    """lo and hi of a --credible JSON document are means -+ z * sqrt(diag(cov))
+    of the same document, bit for bit."""
+
+    @staticmethod
+    def assert_bounds(doc, level):
+        from scipy.special import ndtri
+
+        means, cov = np.asarray(doc["means"]), np.asarray(doc["cov"])
+        sds = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
+        z = float(ndtri(0.5 * (1.0 + level)))
+        assert doc["credible_level"] == level
+        np.testing.assert_array_equal(doc["lo"], means - z * sds)
+        np.testing.assert_array_equal(doc["hi"], means + z * sds)
+
+    @pytest.mark.parametrize("algo", ["gpshap", "bayesgpshap"])
+    def test_explain(self, explained, tmp_path, algo):
+        res = run_cli(["explain", "--posterior", "posterior.json", "--instances",
+                       "instances.csv", "--algo", algo, "--credible", "0.9",
+                       "-o", str(tmp_path / "cred.json")], explained)
+        assert res.returncode == 0, res.stderr
+        self.assert_bounds(json.loads((tmp_path / "cred.json").read_text()), 0.9)
+
+    def test_predict_explain(self, explained, tmp_path):
+        res = run_cli(["predict-explain", "--explanations", "expl.json", "--instances",
+                       "instances.csv", "--credible", "0.8",
+                       "-o", str(tmp_path / "cred.json")], explained)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads((tmp_path / "cred.json").read_text())
+        assert set(doc) == {"means", "cov", "credible_level", "lo", "hi"}
+        self.assert_bounds(doc, 0.8)
+
+    def test_no_bounds_without_a_level(self, explained):
+        doc = json.loads((explained / "expl.json").read_text())
+        assert not {"credible_level", "lo", "hi"} & set(doc)
 
 
 class TestInputBoundary:
@@ -364,6 +447,12 @@ class TestInputBoundary:
          "noise_fractions must be positive and finite, got nan"),
         ({}, ["fit", "--data", "train.csv", "--target", "target", "--ls-multipliers", "1,0"],
          "ls_multipliers must be positive and finite, got 0.0"),
+        ({}, ["fit", "--data", "train.csv", "--target", "target", "--ls-multipliers", "a"],
+         "--ls-multipliers a: "),
+        ({}, ["fit", "--data", "train.csv", "--target", "target",
+              "--noise-fractions", "1e-2,x"], "--noise-fractions 1e-2,x: "),
+        ({}, ["fit", "--data", "train.csv", "--target", "target", "--inducing", "-3"],
+         "--inducing -3: count must be in [1, 40], got -3"),
     ], ids=["fit-inducing-0", "fit-one-row", "fit-no-features", "fit-target-variance-overflows",
             "lam-negative", "lam-0", "lam-nan",
             "ell0-nan", "ell0-sigma0-negative", "ell0-below-minus-ell", "sigma0-inf",
@@ -374,7 +463,8 @@ class TestInputBoundary:
             "wide-short-row", "wide-x_a",
             "wide-text-column", "predict-X-1d", "anchors-0", "anchors-negative",
             "noise-inf", "noise-nan", "noise-fractions-negative", "noise-fractions-nan",
-            "ls-multipliers-0"])
+            "ls-multipliers-0", "fit-ls-multipliers-text", "fit-noise-fractions-text",
+            "fit-inducing-negative"])
     def test_bad_input_exits_2(self, explained, tmp_path, files, args, where):
         for name in ("train.csv", "instances.csv", "posterior.json", "expl.json"):
             shutil.copy(explained / name, tmp_path)

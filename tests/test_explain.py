@@ -274,6 +274,24 @@ class TestCredibleIntervalsAndExport:
         assert len(doc["sigma2"]) == 2
         assert doc["design_digest"] == design.digest()
 
+    def test_json_export_is_the_document_of_its_covariances(self, setup):
+        post, data, design = setup
+        batch = explain.bayesgpshap(post, design, data.X[:3])
+        covs = np.stack([batch.covariance(k) for k in range(3)])
+        doc = json.loads(batch.to_json(0.9, X=data.X[:3].tolist()))
+        assert doc == json.loads(explain.document(
+            batch.means, covs, 0.9, X=data.X[:3].tolist(), feature_names=["x_1", "x_2", "x_3"],
+            design_digest=design.digest(), sigma2=batch.sigma2_samples.tolist()))
+        lo, hi = explain.credible_intervals(batch.means, batch.stds(), 0.9)
+        np.testing.assert_array_equal(doc["lo"], lo)
+        np.testing.assert_array_equal(doc["hi"], hi)
+        assert doc["credible_level"] == 0.9
+
+    def test_document_of_no_instances(self, setup):
+        post, _, design = setup
+        doc = json.loads(explain.gpshap(post, design, np.zeros((0, 3))).to_json())
+        assert doc["means"] == [] and doc["cov"] == []
+
     def test_csv_export_roundtrips_floats(self, setup):
         post, data, design = setup
         batch = explain.gpshap(post, design, data.X[:2])

@@ -53,11 +53,6 @@ class TestDataset:
 
 
 class TestSelectInducing:
-    def test_all_returns_every_index(self, small_data):
-        np.testing.assert_array_equal(
-            gp.select_inducing(small_data, 10, "all"), np.arange(30)
-        )
-
     def test_uniform_is_seeded_and_sorted(self, small_data):
         a = gp.select_inducing(small_data, 12, "uniform", seed=5)
         b = gp.select_inducing(small_data, 12, "uniform", seed=5)
@@ -87,6 +82,12 @@ class TestSelectInducing:
     def test_unknown_strategy(self, small_data):
         with pytest.raises(ValueError):
             gp.select_inducing(small_data, 5, "bogus")
+
+    def test_every_row_is_not_a_strategy(self, small_data):
+        # fit_exact's inducing=None is every row; a strategy always keeps its count
+        with pytest.raises(ValueError, match="unknown strategy 'all'"):
+            gp.select_inducing(small_data, 10, "all")
+        assert len(gp.select_inducing(small_data, 10)) == 10
 
 
 class TestFitExact:

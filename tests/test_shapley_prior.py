@@ -73,6 +73,21 @@ class TestFitPredict:
             mean, _ = shapley_prior.predict(model, X[a])
             np.testing.assert_allclose(mean, Phi[a], atol=1e-4)
 
+    def test_lambda_none_is_the_default_of_the_anchor_count(self, rng):
+        X, Phi = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+        anchors = X[:5]
+        design = coalition.enumerate_coalitions(3)
+        params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
+        data = ExplanationDataset(X=X, Phi=Phi)
+        default = shapley_prior.fit(data, anchors, params, design, None, 1e-2)
+        explicit = shapley_prior.fit(data, anchors, params, design, cme.default_lambda(5), 1e-2)
+        np.testing.assert_array_equal(default.mean_map, explicit.mean_map)
+        np.testing.assert_array_equal(default.cov_root, explicit.cov_root)
+        X_new = rng.normal(size=(4, 3))
+        for a, b in zip(shapley_prior.predict_batch(default, X_new),
+                        shapley_prior.predict_batch(explicit, X_new)):
+            np.testing.assert_array_equal(a, b)
+
     def test_posterior_variance_shrinks_below_prior(self, rng):
         model, data = small_model(rng)
         x = rng.normal(size=2)
