@@ -241,8 +241,8 @@ def _json_array(doc: dict, key: str, path: str, shape: tuple | None = None) -> n
 
 
 def _wide_csv(path: str, text: str) -> dict:
-    """The inputs ("X") and means of a CSV's x_<k> and phi_<k> columns."""
-    header, M, _ = _read_csv_matrix(path, text=text)
+    """The inputs ("X") and means of a CSV's x_<k>/phi_<k> columns; its header is checked first."""
+    header = next(csv.reader(io.StringIO(text, newline="")), [])
     cols = {"x": [], "phi": []}
     for j, name in enumerate(header):
         kind, sep, k = name.partition("_")
@@ -251,8 +251,10 @@ def _wide_csv(path: str, text: str) -> dict:
                 raise ValueError(f"column {name!r} in {path} is not named {kind}_<integer>")
             cols[kind].append((int(k), j))
     x_cols, p_cols = ([j for _, j in sorted(c)] for c in cols.values())
-    if not x_cols or len(x_cols) != len(p_cols):
-        raise ValueError(f"{path} must provide matching x_1..x_d and phi_1..phi_d columns")
+    if header and (not x_cols or len(x_cols) != len(p_cols)):
+        raise ValueError(f"{path} must provide matching x_1..x_d and phi_1..phi_d columns; "
+                         "explain's --format csv table is not read, so pass its JSON")
+    _, M, _ = _read_csv_matrix(path, text=text)
     return {"X": M[:, x_cols], "means": M[:, p_cols]}
 
 
@@ -343,12 +345,13 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
         raise ValueError(f"'cov' of instance {instance} in {expl_path} is not positive "
                          "semi-definite within a jitter of 1e-8")
     names = names or [f"x_{i + 1}" for i in range(d)]
+    cells = explain.csv_names(names)
     sds = explain.marginal_sds(cov)
     imp = analysis.importance(means, sds)
     corr = analysis.correlation_matrix(cov[instance])
     edges = analysis.precision_graph(cov[instance], sparsity)
     lines = ["feature,mean_abs_ssv,abs_mean_ssv"]
-    for name, folded, absolute in zip(names, imp.mean_abs_ssv, imp.abs_mean_ssv):
+    for name, folded, absolute in zip(cells, imp.mean_abs_ssv, imp.abs_mean_ssv):
         lines.append(f"{name},{float(folded)!r},{float(absolute)!r}")
     _write(f"{prefix}_global.csv", "\n".join(lines) + "\n")
     _write(f"{prefix}_correlation.json",
@@ -356,12 +359,12 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
                       indent=2, sort_keys=True) + "\n")
     lines = ["feature_i,feature_j,partial_correlation"]
     for i, j, r in edges:
-        lines.append(f"{names[i]},{names[j]},{float(r)!r}")
+        lines.append(f"{cells[i]},{cells[j]},{float(r)!r}")
     _write(f"{prefix}_graph.csv", "\n".join(lines) + "\n")
     if X is not None:
         lines = ["instance,feature,mean,sd,feature_value,feature_value_quantile"]
         for k, i, mean, sd, value, quantile in analysis.beeswarm_export(means, sds, X):
-            lines.append(f"{k},{names[i]},{mean!r},{sd!r},{value!r},{quantile!r}")
+            lines.append(f"{k},{cells[i]},{mean!r},{sd!r},{value!r},{quantile!r}")
         _write(f"{prefix}_beeswarm.csv", "\n".join(lines) + "\n")
     click.echo(f"wrote {prefix}_global.csv, {prefix}_correlation.json, "
                f"{prefix}_graph.csv" + (f", {prefix}_beeswarm.csv" if X is not None else ""))

@@ -161,14 +161,6 @@ class EmbeddingBatch:
     design: CoalitionDesign
     weights: np.ndarray                     # n_coalitions x n_inducing x n_instances
 
-    @property
-    def n_instances(self) -> int:
-        return self.weights.shape[2]
-
-    @property
-    def n_inducing(self) -> int:
-        return self.weights.shape[1]
-
     def tensor(self) -> np.ndarray:
         """Stacked weights, shape (n_coalitions, n_inducing, n_instances)."""
         return self.weights
@@ -233,12 +225,12 @@ def game_moments(posterior: GPPosterior, batch: EmbeddingBatch) -> list[Stochast
     b(x, S_j)^T K b(x, S_j') with m, K the posterior moments at the
     inducing rows.
     """
-    if batch.n_inducing != posterior.n_inducing:
-        raise DesignMismatch("embedding batch and posterior disagree on inducing size")
     B = batch.tensor()                      # ell x n_I x n
+    if B.shape[1] != posterior.n_inducing:
+        raise DesignMismatch("embedding batch and posterior disagree on inducing size")
     E = np.einsum("jik,i->jk", B, posterior.mean_at_inducing)
     games = []
-    for k in range(batch.n_instances):
+    for k in range(B.shape[2]):
         Bk = B[:, :, k]
         cov = numerics.symmetrize(Bk @ posterior.cov_at_inducing @ Bk.T)
         games.append(

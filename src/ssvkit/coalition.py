@@ -50,6 +50,7 @@ class CoalitionDesign:
     ``masks[j]``.  ``weights`` holds the finite
     Shapley-kernel weight per coalition with zeros at the two boundary rows
     (their infinite weights live in the equality constraints).
+    ``ZtWZ_inverse`` is (Z_i^T W_i Z_i)^-1 over the interior rows ``1:-1``.
     """
 
     d: int
@@ -58,18 +59,11 @@ class CoalitionDesign:
     weights: np.ndarray
     A: np.ndarray
     ZtWZ_interior: np.ndarray
+    ZtWZ_inverse: np.ndarray
 
     @property
     def n_coalitions(self) -> int:
         return len(self.masks)
-
-    @property
-    def interior(self) -> np.ndarray:
-        """Indices of the interior (non-boundary) coalition rows."""
-        return np.arange(1, self.n_coalitions - 1)
-
-    def is_full_enumeration(self) -> bool:
-        return self.n_coalitions == (1 << self.d)
 
     def digest(self) -> str:
         """SHA-256 hex of d and the masks, each as little-endian int64 bytes."""
@@ -97,10 +91,11 @@ def _design_from_masks(d: int, masks: np.ndarray) -> CoalitionDesign:
     A minimizes the weighted squared residuals of the interior coalitions
     subject to phi_0 = v_empty and phi_0 + sum_i phi_i = v_full, solved by
     eliminating the constraints and factoring the reduced system
-    H = Z_i^T W_i Z_i.  Rows sort by (size, mask value), so the empty
-    coalition is row 0, the grand coalition row ell - 1 and the interior
-    rows are ``1:-1``.  With no interior rows the ridge limit allocates
-    v_full - v_empty equally.  Every array is ell x d or smaller.
+    H = Z_i^T W_i Z_i, whose factor also gives H^-1.  Rows sort by (size,
+    mask value), so the empty coalition is row 0, the grand coalition row
+    ell - 1 and the interior rows are ``1:-1``.  With no interior rows the
+    ridge limit allocates v_full - v_empty equally and H, H^-1 are zero.
+    Every array is ell x d or smaller.
 
     The Shapley values are determined iff rank(Z_i^T Z_i + 1 1^T) == d
     (interior rows plus the efficiency row): integer counts, exact in
@@ -126,7 +121,7 @@ def _design_from_masks(d: int, masks: np.ndarray) -> CoalitionDesign:
     delta = np.zeros(ell)
     delta[-1], delta[0] = 1.0, -1.0
     if ell == 2:
-        A, H = np.tile(delta / d, (d, 1)), np.zeros((d, d))
+        A, H, H_inv = np.tile(delta / d, (d, 1)), np.zeros((d, d)), np.zeros((d, d))
     else:
         Zi = Z[1:-1]
         rank = np.linalg.matrix_rank(Zi.T @ Zi + 1.0)
@@ -145,8 +140,9 @@ def _design_from_masks(d: int, masks: np.ndarray) -> CoalitionDesign:
         h1 = factor.solve(np.ones(d))
         mu_row = (np.ones(d) @ HinvG - delta) / float(np.ones(d) @ h1)
         A = HinvG - np.outer(h1, mu_row)
+        H_inv = numerics.symmetrize(factor.solve(np.eye(d)))
     return CoalitionDesign(
-        d=d, masks=masks, Z=Z, weights=weights, A=A, ZtWZ_interior=H,
+        d=d, masks=masks, Z=Z, weights=weights, A=A, ZtWZ_interior=H, ZtWZ_inverse=H_inv,
     )
 
 
@@ -207,7 +203,7 @@ def _require_oracle(game_or_design) -> CoalitionDesign:
     design = getattr(game_or_design, "design", game_or_design)
     if design.d > ORACLE_CAP:
         raise DimensionTooLarge(f"brute-force oracle supports d <= {ORACLE_CAP}")
-    if not design.is_full_enumeration():
+    if design.n_coalitions != (1 << design.d):
         raise ValueError("the brute-force oracle requires a full enumeration design")
     return design
 

@@ -51,9 +51,9 @@ class ExplanationBatch:
     """Explanations for a batch of instances.
 
     ``means`` has one row per instance.  ``cov_factor`` is the low-rank
-    GP-term factor R; ``sigma2_samples`` and ``bayes_term`` are present for
-    the Bayesian variants and add ``bayes_term * sigma2[k]`` to instance
-    k's covariance.
+    GP-term factor R; ``sigma2_samples``, present for the Bayesian variants,
+    adds the design's ``(Z^T W Z)^-1 * sigma2[k]`` to instance k's covariance.
+    ``covariances`` builds them all in one batched product for every reader.
     """
 
     means: np.ndarray                       # n x d
@@ -61,7 +61,6 @@ class ExplanationBatch:
     design: CoalitionDesign
     payoff_means: np.ndarray                # ell x n
     sigma2_samples: Optional[np.ndarray] = None
-    bayes_term: Optional[np.ndarray] = None
     feature_names: Optional[list[str]] = None
 
     @property
@@ -72,13 +71,17 @@ class ExplanationBatch:
     def d(self) -> int:
         return self.means.shape[1]
 
+    def covariances(self, index: slice = slice(None)) -> np.ndarray:
+        """Marginal d x d covariances of the instances ``index`` selects, n x d x d."""
+        R = self.cov_factor[:, index].transpose(1, 0, 2)     # n x d x n_inducing
+        covs = numerics.symmetrize(R @ R.transpose(0, 2, 1))
+        if self.sigma2_samples is not None:
+            covs = covs + self.sigma2_samples[index, None, None] * _bayes_term(self.design)
+        return covs
+
     def covariance(self, k: int) -> np.ndarray:
         """Marginal d x d covariance of instance k."""
-        R = self.cov_factor[:, k, :]
-        cov = numerics.symmetrize(R @ R.T)
-        if self.sigma2_samples is not None and self.bayes_term is not None:
-            cov = cov + self.bayes_term * float(self.sigma2_samples[k])
-        return cov
+        return self.covariances(slice(k, k + 1 or None))[0]      # k = -1 too
 
     def cross_covariance(self, a: int, b: int) -> np.ndarray:
         """d x d covariance block between instances a and b (GP term only)."""
@@ -86,19 +89,18 @@ class ExplanationBatch:
 
     def stds(self) -> np.ndarray:
         """Per-instance, per-feature standard deviations, shape n x d."""
-        return marginal_sds(np.stack([self.covariance(k) for k in range(self.n_instances)]))
+        return marginal_sds(self.covariances())
 
     def to_json(self, level: float | None = None, **extra) -> str:
         """``document`` of this batch with its names, design digest and sigma2."""
         names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
         if self.sigma2_samples is not None:
             extra["sigma2"] = self.sigma2_samples.tolist()
-        covs = [self.covariance(k) for k in range(self.n_instances)]
-        return document(self.means, np.reshape(covs, (-1, self.d, self.d)), level, **extra,
+        return document(self.means, self.covariances(), level, **extra,
                         feature_names=names, design_digest=self.design.digest())
 
     def to_csv(self, level: float = 0.95) -> str:
-        names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
+        names = csv_names(self.feature_names or [f"x_{i + 1}" for i in range(self.d)])
         sds = self.stds()
         lo, hi = credible_intervals(self.means, sds, level)
         rows = (f"{k},{names[i]},{float(self.means[k, i])!r},{float(sds[k, i])!r},"
@@ -113,19 +115,13 @@ def gpshap(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.ndarra
 
     Means are A applied to the estimated payoff means; the covariance
     factor is the projected embedding A.B(x) (d x n_I per instance) times
-    the Cholesky factor of the posterior covariance.  Both come from
+    the posterior's ``cov_lower``.  Both products come from
     ``cme.projected_batch``, which streams the embedding weights, so no
     coalition-sized tensor is ever built.
     """
     P, E = cme.projected_batch(posterior, design, X_explain, lam)  # n x d x n_I, ell x n
     means = (design.A @ E).T
-    if np.count_nonzero(posterior.cov_at_inducing) == 0:
-        # degenerate posterior: keep the factor exactly zero instead of
-        # letting the jittered Cholesky introduce a sqrt(jitter) floor
-        L = np.zeros_like(posterior.cov_at_inducing)
-    else:
-        L = numerics.cholesky_psd(posterior.cov_at_inducing, max_jitter=1e-8).lower
-    R = (P @ L).transpose(1, 0, 2)                         # d x n x n_I
+    R = (P @ posterior.cov_lower).transpose(1, 0, 2)       # d x n x n_I
     return ExplanationBatch(
         means=means, cov_factor=R, design=design, payoff_means=E,
         feature_names=feature_names,
@@ -142,10 +138,8 @@ def bayes_s2(E: np.ndarray, design: CoalitionDesign, means: np.ndarray) -> np.nd
     E = np.atleast_2d(E)
     ell = design.n_coalitions
     Phi = means.T                                          # d x n
-    resid = E - design.Z @ Phi                             # ell x n
-    interior = design.interior
-    w = design.weights[interior]
-    weighted = np.einsum("jk,j,jk->k", resid[interior], w, resid[interior])
+    resid = (E - design.Z @ Phi)[1:-1]                     # interior rows x n
+    weighted = np.einsum("jk,j,jk->k", resid, design.weights[1:-1], resid)
     return (weighted + np.einsum("ik,ik->k", Phi, Phi)) / ell
 
 
@@ -165,12 +159,9 @@ def sample_sigma2(config: BayesConfig, ell: int, s2: np.ndarray | float) -> np.n
 
 
 def _bayes_term(design: CoalitionDesign) -> np.ndarray:
-    """(Z^T W Z)^-1 over the interior coalitions and finite weights."""
-    d = design.d
-    if design.interior.size == 0:
-        return np.zeros((d, d))
-    factor = numerics.cholesky_psd(design.ZtWZ_interior, max_jitter=1e-8)
-    return numerics.symmetrize(factor.solve(np.eye(d)))
+    """(Z^T W Z)^-1 over the interior coalitions and finite weights: the
+    design's ``ZtWZ_inverse``, taken from the factor that built its A."""
+    return design.ZtWZ_inverse
 
 
 def _with_bayes(batch: ExplanationBatch, config: BayesConfig) -> ExplanationBatch:
@@ -179,8 +170,7 @@ def _with_bayes(batch: ExplanationBatch, config: BayesConfig) -> ExplanationBatc
     scaled inverse chi-squared posterior built on the payoff means."""
     design = batch.design
     s2 = bayes_s2(batch.payoff_means, design, batch.means)
-    return replace(batch, sigma2_samples=sample_sigma2(config, design.n_coalitions, s2),
-                   bayes_term=_bayes_term(design))
+    return replace(batch, sigma2_samples=sample_sigma2(config, design.n_coalitions, s2))
 
 
 def bayesgpshap(posterior: GPPosterior, design: CoalitionDesign,
@@ -210,6 +200,13 @@ def bayesshap_deterministic(payoffs: np.ndarray, design: CoalitionDesign,
                             cov_factor=np.zeros((design.d, E.shape[1], 1)), design=design,
                             payoff_means=E, feature_names=feature_names)
     return _with_bayes(base, config)
+
+
+def csv_names(names: list[str]) -> list[str]:
+    """Names as CSV cells, quoted as ``csv.writer`` quotes them by default: only
+    a name holding a comma, a double quote, CR or LF, its quotes doubled."""
+    return ['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+            for s in names]
 
 
 def marginal_sds(covs: np.ndarray) -> np.ndarray:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels, numerics
-from .errors import CountOutOfRange
+from .errors import CountOutOfRange, JitterExceeded
 from .kernels import KernelParams
 
 
@@ -52,7 +53,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GPPosterior:
-    """Posterior mean and covariance of a GP at its inducing rows."""
+    """Posterior mean and covariance of a GP at its inducing rows; ``cov_lower`` factors it once."""
 
     inducing_points: np.ndarray
     mean_at_inducing: np.ndarray
@@ -89,6 +90,14 @@ class GPPosterior:
     def d(self) -> int:
         return self.inducing_points.shape[1]
 
+    @cached_property
+    def cov_lower(self) -> np.ndarray:
+        """Cholesky factor of the covariance within a 1e-8 jitter (else JitterExceeded);
+        exactly zero for a zero covariance, which jitter would lift to sqrt(jitter)."""
+        if not np.any(self.cov_at_inducing):
+            return np.zeros_like(self.cov_at_inducing)
+        return numerics.cholesky_psd(self.cov_at_inducing, max_jitter=1e-8).lower
+
     def to_json(self) -> str:
         doc = {
             "inducing_points": self.inducing_points.tolist(),
@@ -115,8 +124,11 @@ class GPPosterior:
             ),
             noise=float(doc["noise"]),
         )
-        if not numerics.is_psd(posterior.cov_at_inducing, tol_jitter=1e-8):  # as in gpshap
-            raise ValueError("posterior covariance is not positive semi-definite within 1e-8")
+        try:
+            posterior.cov_lower                     # factoring it is the PSD check
+        except JitterExceeded:
+            raise ValueError("posterior covariance is not positive semi-definite "
+                             "within 1e-8") from None
         return posterior
 
 

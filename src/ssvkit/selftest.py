@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from . import analysis, cme, coalition, explain, gp, kernels, numerics, shapley_prior
+from . import analysis, cme, coalition, explain, gp, kernels, shapley_prior
 
 
 def _random_game(rng: np.random.Generator, design) -> coalition.StochasticGame:
@@ -64,8 +64,7 @@ def check_mc_posterior_oracle(seed: int) -> float:
     batch = explain.gpshap(posterior, design, x_explain)
     n_draws = 8000
     B = cme.embedding_batch(posterior, design, x_explain).tensor()
-    L = numerics.cholesky_psd(posterior.cov_at_inducing, max_jitter=1e-8).lower
-    draws = posterior.mean_at_inducing[:, None] + L @ rng.normal(
+    draws = posterior.mean_at_inducing[:, None] + posterior.cov_lower @ rng.normal(
         size=(posterior.n_inducing, n_draws))
     worst = 0.0
     for k in range(x_explain.shape[0]):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -701,6 +702,65 @@ class TestAnalyze:
         (workdir / "nocov.json").write_text(json.dumps({"means": [[1.0, 2.0]]}))
         res = run_cli(["analyze", "--explanations", "nocov.json"], workdir)
         assert res.returncode == 2
+
+
+class TestExplainCsvAsInput:
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--explanations", "expl.csv"],
+        ["predict-explain", "--explanations", "expl.csv", "--instances", "instances.csv"],
+    ], ids=["analyze", "predict-explain"])
+    def test_long_table_is_named_before_its_cells_are_read(self, explained, tmp_path, args):
+        for name in ("posterior.json", "instances.csv"):
+            shutil.copy(explained / name, tmp_path)
+        res = run_cli(["explain", "--posterior", "posterior.json", "--instances",
+                       "instances.csv", "--format", "csv", "-o", "expl.csv"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        res = run_cli(args, tmp_path)
+        assert_one_line_input_error(res)
+        assert "x_1..x_d and phi_1..phi_d" in res.stderr
+        assert "--format csv" in res.stderr and "JSON" in res.stderr
+        assert "non-numeric" not in res.stderr
+
+
+class TestCsvNames:
+    """A feature name holding a comma or a quote is written as csv.writer
+    writes it, so every CSV output reads back at its header's width."""
+
+    NAMES = ["a,b", 'c"d', "e"]
+
+    @staticmethod
+    def read(path):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {len(rows[0])}
+        return rows
+
+    @pytest.fixture
+    def named(self, explained, tmp_path):
+        shutil.copy(explained / "posterior.json", tmp_path)
+        lines = (explained / "instances.csv").read_text().splitlines()
+        lines[0] = '"a,b","c""d",e'
+        (tmp_path / "named.csv").write_text("\n".join(lines) + "\n")
+        return tmp_path
+
+    def test_explain_csv(self, named):
+        res = run_cli(["explain", "--posterior", "posterior.json", "--instances", "named.csv",
+                       "--format", "csv", "-o", "expl.csv"], named)
+        assert res.returncode == 0, res.stderr
+        rows = self.read(named / "expl.csv")
+        assert [row[1] for row in rows[1:4]] == self.NAMES
+
+    def test_analyze_tables(self, named):
+        res = run_cli(["explain", "--posterior", "posterior.json", "--instances", "named.csv",
+                       "-o", "expl.json"], named)
+        assert res.returncode == 0, res.stderr
+        res = run_cli(["analyze", "--explanations", "expl.json", "--sparsity", "0",
+                       "--prefix", "out"], named)
+        assert res.returncode == 0, res.stderr
+        assert [row[0] for row in self.read(named / "out_global.csv")[1:]] == self.NAMES
+        assert [row[1] for row in self.read(named / "out_beeswarm.csv")[1:4]] == self.NAMES
+        graph = self.read(named / "out_graph.csv")[1:]
+        assert graph and {name for row in graph for name in row[:2]} <= set(self.NAMES)
 
 
 class TestStdoutOutput:

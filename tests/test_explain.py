@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -301,3 +303,86 @@ class TestCredibleIntervalsAndExport:
         k, name, mean, sd, lo, hi = lines[1].split(",")
         assert float(mean) == batch.means[0, 0]
         assert float(sd) == batch.stds()[0, 0]
+
+    def test_csv_export_quotes_names_as_csv_writer_does(self, setup):
+        post, data, design = setup
+        names = ["a,b", 'c"d', "e"]
+        batch = explain.gpshap(post, design, data.X[:2], feature_names=names)
+        text = batch.to_csv()
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+        assert out.getvalue() == text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert {len(row) for row in rows} == {6}
+        assert [row[1] for row in rows[1:4]] == names
+
+
+def fresh_bayes_term(design):
+    """(Z_i^T W_i Z_i)^-1 as a separate factorization builds it, zeros without
+    interior rows."""
+    if design.n_coalitions == 2:
+        return np.zeros((design.d, design.d))
+    factor = numerics.cholesky_psd(design.ZtWZ_interior, max_jitter=1e-8)
+    return numerics.symmetrize(factor.solve(np.eye(design.d)))
+
+
+class TestCovarianceOwners:
+    """Each covariance is factored once, by the object that holds its matrix,
+    and a batch's covariances come from one product, bit for bit the same."""
+
+    @pytest.mark.parametrize("algo", ["gpshap", "bayesgpshap", "bayesshap"])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["full", "sampled"])
+    def test_covariances_equal_the_per_instance_formula(self, setup, algo, sampled):
+        post, data, _ = setup
+        design = (coalition.sample_coalitions(3, 6, seed=0) if sampled
+                  else coalition.enumerate_coalitions(3))
+        batch = explain.gpshap(post, design, data.X[:7])
+        if algo == "bayesgpshap":
+            batch = explain.bayesgpshap(post, design, data.X[:7])
+        elif algo == "bayesshap":
+            batch = explain.bayesshap_deterministic(batch.payoff_means, design)
+        covs = batch.covariances()
+        assert covs.shape == (7, 3, 3)
+        term = fresh_bayes_term(design)
+        for k in range(7):
+            R = batch.cov_factor[:, k, :]
+            want = numerics.symmetrize(R @ R.T)
+            if algo != "gpshap":
+                want = want + term * float(batch.sigma2_samples[k])
+            assert np.array_equal(covs[k], want)
+            assert np.array_equal(batch.covariance(k), want)
+        assert np.array_equal(batch.covariance(-1), covs[-1])
+        assert np.array_equal(batch.covariances(slice(2, 5)), covs[2:5])
+
+    @pytest.mark.parametrize("design", [
+        *(coalition.enumerate_coalitions(d) for d in range(2, 9)),
+        coalition.sample_coalitions(8, 50, seed=0),
+        coalition.sample_coalitions(22, 3000, seed=0),
+    ], ids=[*(f"full-{d}" for d in range(2, 9)), "sampled-8-50", "sampled-22-3000"])
+    def test_bayes_term_equals_a_fresh_factorization(self, design):
+        assert np.array_equal(explain._bayes_term(design), fresh_bayes_term(design))
+
+    def test_bayes_term_is_zero_without_interior_rows(self):
+        design = coalition.enumerate_coalitions(1)
+        assert design.n_coalitions == 2
+        assert np.array_equal(explain._bayes_term(design), np.zeros((1, 1)))
+
+    def test_loaded_posterior_and_bayes_factor_once(self, setup, count_cholesky):
+        post, data, design = setup
+        loaded = gp.GPPosterior.from_json(post.to_json())
+        batch = explain.bayesgpshap(loaded, design, data.X[:4])
+        batch.to_json()
+        batch.stds()
+        # one factor per coalition, and the posterior's own, made by from_json
+        assert len(count_cholesky) == design.n_coalitions + 1
+
+    @pytest.mark.parametrize("variant", [explain.gpshap, explain.bayesgpshap])
+    def test_empty_batch(self, setup, variant):
+        post, _, design = setup
+        batch = variant(post, design, np.zeros((0, 3)))
+        assert batch.covariances().shape == (0, 3, 3)
+        assert batch.stds().shape == (0, 3)
+        assert batch.to_csv() == "instance,feature,mean,sd,lo,hi\n"
+        doc = json.loads(batch.to_json())
+        assert doc["means"] == [] and doc["cov"] == []
+        assert doc.get("sigma2", []) == []

@@ -386,3 +386,37 @@ class TestGramReuse:
         with pytest.raises(JitterExceeded):  # a diagonal of -1 plus 0.5 is indefinite
             gp.log_marginal_likelihood(small_data, params, 0.5, gram=K)
         assert K.tobytes() == before
+
+
+class TestPosteriorFactor:
+    @pytest.fixture
+    def post(self, small_data):
+        params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
+        return gp.fit_exact(small_data, params, noise=0.1, inducing=np.array([0, 4, 9]))
+
+    def test_factor_is_built_once_on_first_use(self, post, count_cholesky):
+        assert count_cholesky == []
+        L = post.cov_lower
+        assert post.cov_lower is L
+        assert count_cholesky == [(3, 3)]
+        want = numerics.cholesky_psd(post.cov_at_inducing, max_jitter=1e-8).lower
+        assert np.array_equal(L, want)
+
+    def test_loading_factors_once(self, post, count_cholesky):
+        loaded = gp.GPPosterior.from_json(post.to_json())
+        loaded.cov_lower
+        assert count_cholesky == [(3, 3)]
+
+    def test_zero_covariance_has_an_exactly_zero_factor(self, post, count_cholesky):
+        doc = json.loads(post.to_json())
+        doc["cov_at_inducing"] = np.zeros((3, 3)).tolist()
+        loaded = gp.GPPosterior.from_json(json.dumps(doc))
+        assert np.array_equal(loaded.cov_lower, np.zeros((3, 3)))
+        assert count_cholesky == []
+
+    def test_not_psd_message(self, post):
+        doc = json.loads(post.to_json())
+        doc["cov_at_inducing"] = np.diag([1.0, -1e-6, 1.0]).tolist()
+        with pytest.raises(ValueError) as info:
+            gp.GPPosterior.from_json(json.dumps(doc))
+        assert str(info.value) == "posterior covariance is not positive semi-definite within 1e-8"
