@@ -219,7 +219,7 @@ def cmd_explain(posterior_path, instances_path, algo, coalitions, lam, ell0,
         batch = explain.bayesshap_deterministic(base.payoff_means, design, config,
                                                 feature_names=names)
     _write(output, batch.to_csv(credible or 0.95) if fmt == "csv"
-           else batch.to_json(credible, X=X.tolist()) + "\n")
+           else batch.to_json(credible, X=X) + "\n")
     click.echo(f"explained {X.shape[0]} instances with {algo} "
                f"({design.n_coalitions} coalitions)", err=output == "-")
 
@@ -241,7 +241,8 @@ def _json_array(doc: dict, key: str, path: str, shape: tuple | None = None) -> n
 
 
 def _wide_csv(path: str, text: str) -> dict:
-    """The inputs ("X") and means of a CSV's x_<k>/phi_<k> columns; its header is checked first."""
+    """The inputs ("X") and means of a CSV's x_<k>/phi_<k> columns, each kind numbered
+    exactly 1..d; its header is checked first."""
     header = next(csv.reader(io.StringIO(text, newline="")), [])
     cols = {"x": [], "phi": []}
     for j, name in enumerate(header):
@@ -250,6 +251,13 @@ def _wide_csv(path: str, text: str) -> dict:
             if not k.isdecimal():
                 raise ValueError(f"column {name!r} in {path} is not named {kind}_<integer>")
             cols[kind].append((int(k), j))
+    for kind, found in cols.items():
+        for want, (k, j) in enumerate(sorted(found), start=1):
+            if k != want:
+                what = (f"repeats {kind}_{k}" if 0 < k < want else
+                        f"skips {kind}_{want}" if k > want else "is numbered 0")
+                raise ValueError(f"column {header[j]!r} in {path} {what}: the {kind}_<k> "
+                                 "columns must be numbered 1..d, each once")
     x_cols, p_cols = ([j for _, j in sorted(c)] for c in cols.values())
     if header and (not x_cols or len(x_cols) != len(p_cols)):
         raise ValueError(f"{path} must provide matching x_1..x_d and phi_1..phi_d columns; "
@@ -344,7 +352,7 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
     if not numerics.is_psd(cov[instance], tol_jitter=1e-8):
         raise ValueError(f"'cov' of instance {instance} in {expl_path} is not positive "
                          "semi-definite within a jitter of 1e-8")
-    names = names or [f"x_{i + 1}" for i in range(d)]
+    names = names or explain.default_names(d)
     cells = explain.csv_names(names)
     sds = explain.marginal_sds(cov)
     imp = analysis.importance(means, sds)
@@ -355,8 +363,7 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
         lines.append(f"{name},{float(folded)!r},{float(absolute)!r}")
     _write(f"{prefix}_global.csv", "\n".join(lines) + "\n")
     _write(f"{prefix}_correlation.json",
-           json.dumps({"feature_names": names, "correlation": corr.tolist()},
-                      indent=2, sort_keys=True) + "\n")
+           explain.dumps({"feature_names": names, "correlation": corr}) + "\n")
     lines = ["feature_i,feature_j,partial_correlation"]
     for i, j, r in edges:
         lines.append(f"{cells[i]},{cells[j]},{float(r)!r}")

@@ -19,6 +19,11 @@ read it:
   full tensor, for ``game_moments`` and the oracles that need every
   coalition's payoff.
 
+Both sides of every solve, the grams K_S(rows, rows) that are factored and
+the right-hand sides k_S(rows, X), come from ``kernels.grams``: one stacked
+product per run of equal-size masks (at most ``STACK_ENTRIES`` entries),
+while each coalition is still factored and solved on its own.
+
 ``CoalitionEmbedding`` keeps the factors, for callers that map batches
 again and again (the Shapley prior).  ``projected_batch`` and
 ``embedding_batch`` map one batch and drop each factor after its solve.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -47,16 +53,33 @@ def default_lambda(n_inducing: int) -> float:
 # Entries of B(X) one streamed block holds at most (8 MB of float64).  A
 # block always holds at least one coalition, even when m*n is larger.
 CHUNK_ENTRIES = 1 << 20
+# Entries of one stack of coalition grams (1 MB), an eighth of a block; a
+# stack holds at least one gram.
+STACK_ENTRIES = CHUNK_ENTRIES // 8
 
 
-def _coalition_factor(kernel: KernelParams, mask: int, rows: np.ndarray,
-                      lam: float | None) -> CholeskyFactor:
-    """Cholesky factor of K_S + lambda*I over the m rows; lambda None is default_lambda(m)."""
+def _coalition_grams(kernel: KernelParams, masks: np.ndarray, A: np.ndarray,
+                     B: np.ndarray) -> Iterator[np.ndarray]:
+    """``kernels.gram(kernel, mask, A, B)`` for each mask in turn, each run of
+    equal-size masks (contiguous: a design sorts its masks by size) built in
+    ``kernels.grams`` stacks of at most ``STACK_ENTRIES`` entries."""
+    step = max(1, STACK_ENTRIES // max(A.shape[0] * B.shape[0], 1))
+    for _, run in groupby(masks, key=lambda mask: int(mask).bit_count()):
+        run = list(run)
+        for lo in range(0, len(run), step):
+            yield from kernels.grams(kernel, run[lo:lo + step], A, B)
+
+
+def _coalition_factors(kernel: KernelParams, masks: np.ndarray, rows: np.ndarray,
+                       lam: float | None) -> Iterator[CholeskyFactor]:
+    """Cholesky factors of K_S + lambda*I over the m rows, one per mask, in turn;
+    lambda None is default_lambda(m).  Lambda is checked when the first is asked for."""
     if lam is None:
         lam = default_lambda(rows.shape[0])
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-    return numerics.cholesky_psd(kernels.gram(kernel, mask, rows, rows), shift=lam)
+    for K in _coalition_grams(kernel, masks, rows, rows):
+        yield numerics.cholesky_psd(K, shift=lam)
 
 
 def _weight_chunks(kernel: KernelParams, rows: np.ndarray, masks: np.ndarray,
@@ -74,12 +97,11 @@ def _weight_chunks(kernel: KernelParams, rows: np.ndarray, masks: np.ndarray,
     m, n = rows.shape[0], X.shape[0]
     step = max(1, CHUNK_ENTRIES // max(m * n, 1))
     buffer = np.empty((min(step, len(masks)), m, n))
-    factors = iter(factors)
+    pairs = zip(factors, _coalition_grams(kernel, masks, rows, X))
     for lo in range(0, len(masks), step):
-        chunk = masks[lo:lo + step]
-        block = buffer[:len(chunk)]
-        for j, (mask, factor) in enumerate(zip(chunk, factors)):
-            block[j] = factor.solve(kernels.gram(kernel, mask, rows, X))
+        block = buffer[:min(step, len(masks) - lo)]
+        for j, (factor, k_sx) in zip(range(len(block)), pairs):
+            block[j] = factor.solve(k_sx)
         yield lo, block
 
 
@@ -142,7 +164,7 @@ def coalition_embedding(kernel: KernelParams, rows: np.ndarray, design: Coalitio
                         lam: float | None) -> CoalitionEmbedding:
     """Factor K_S + lambda*I once for every coalition of ``design``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    factors = tuple(_coalition_factor(kernel, mask, rows, lam) for mask in design.masks)
+    factors = tuple(_coalition_factors(kernel, design.masks, rows, lam))
     return CoalitionEmbedding(kernel=kernel, rows=rows, design=design, factors=factors)
 
 
@@ -172,8 +194,8 @@ def embedding_weights(posterior: GPPosterior, subset: FeatureSubset,
     if subset.d != posterior.d:
         raise DimensionMismatch("subset and posterior disagree on feature count")
     Xi = posterior.inducing_points
-    factor = _coalition_factor(posterior.kernel, subset.mask, Xi, lam)
-    weights = _solve_all(posterior.kernel, Xi, [subset.mask], [factor], X_explain)[0]
+    factors = _coalition_factors(posterior.kernel, [subset.mask], Xi, lam)
+    weights = _solve_all(posterior.kernel, Xi, [subset.mask], factors, X_explain)[0]
     return EmbeddingWeights(coalition=subset, weights=weights)
 
 
@@ -191,9 +213,8 @@ def _one_batch(posterior: GPPosterior, design: CoalitionDesign, X_explain: np.nd
         )
     if posterior.d != design.d:
         raise DesignMismatch("posterior and design disagree on feature count")
-    factors = (_coalition_factor(posterior.kernel, mask, posterior.inducing_points, lam)
-               for mask in design.masks)
-    return X_explain, factors
+    return X_explain, _coalition_factors(posterior.kernel, design.masks,
+                                         posterior.inducing_points, lam)
 
 
 def embedding_batch(posterior: GPPosterior, design: CoalitionDesign,

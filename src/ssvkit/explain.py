@@ -93,14 +93,14 @@ class ExplanationBatch:
 
     def to_json(self, level: float | None = None, **extra) -> str:
         """``document`` of this batch with its names, design digest and sigma2."""
-        names = self.feature_names or [f"x_{i + 1}" for i in range(self.d)]
+        names = self.feature_names or default_names(self.d)
         if self.sigma2_samples is not None:
-            extra["sigma2"] = self.sigma2_samples.tolist()
+            extra["sigma2"] = self.sigma2_samples
         return document(self.means, self.covariances(), level, **extra,
                         feature_names=names, design_digest=self.design.digest())
 
     def to_csv(self, level: float = 0.95) -> str:
-        names = csv_names(self.feature_names or [f"x_{i + 1}" for i in range(self.d)])
+        names = csv_names(self.feature_names or default_names(self.d))
         sds = self.stds()
         lo, hi = credible_intervals(self.means, sds, level)
         rows = (f"{k},{names[i]},{float(self.means[k, i])!r},{float(sds[k, i])!r},"
@@ -219,11 +219,51 @@ def document(means: np.ndarray, covs: np.ndarray, level: float | None = None,
              **entries) -> str:
     """The one writer of the explanation document: ``means`` (n x d), ``cov``
     (n x d x d), at a credible ``level`` its ``lo``/``hi`` bounds, and ``entries``."""
-    doc = {**entries, "means": means.tolist(), "cov": covs.tolist()}
+    doc = {**entries, "means": means, "cov": covs}
     if level is not None:
         lo, hi = credible_intervals(means, marginal_sds(covs), level)
-        doc.update(credible_level=level, lo=lo.tolist(), hi=hi.tolist())
-    return json.dumps(doc, indent=2, sort_keys=True)
+        doc.update(credible_level=level, lo=lo, hi=hi)
+    return dumps(doc)
+
+
+def default_names(d: int) -> list[str]:
+    """The feature names ``x_1`` .. ``x_d`` of explanations that carry none."""
+    return [f"x_{i + 1}" for i in range(d)]
+
+
+def dumps(doc: dict) -> str:
+    """The package's one JSON writer: ``json.dumps(doc, indent=2, sort_keys=True)``
+    byte for byte, where ``doc``'s string-keyed dicts may hold numeric ndarrays.
+
+    A non-empty array of ndim k takes one C-level ``json.dumps`` of its list
+    and k ``str.replace`` passes, longest token first: a number's text holds
+    no bracket and no ", ", so only the lists at depth i separate their items
+    by ``"]" * (k-1-i) + ", " + "[" * (k-1-i)``.  Any other value (empty and
+    0-d arrays too) is ``json.dumps(value, indent=2)``, re-indented.
+    """
+    return _dumps(doc, 0)
+
+
+def _dumps(value, level: int) -> str:
+    """``value`` as ``dumps`` writes it when its first line sits at ``level``."""
+    pad = "\n" + "  " * level
+    if isinstance(value, dict) and value:
+        items = (f"{pad}  {json.dumps(key)}: {_dumps(value[key], level + 1)}"
+                 for key in sorted(value))
+        return "{" + ",".join(items) + pad + "}"
+    if not isinstance(value, np.ndarray):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+    if not (value.ndim and value.size and value.dtype.kind in "biuf"):
+        return _dumps(value.tolist(), level)
+    k = value.ndim
+    ind = [pad + "  " * q for q in range(k + 1)]         # the indent of depth q
+    opens = ["".join("[" + ind[q + 1] for q in range(lo, k)) for lo in range(k + 1)]
+    closes = ["".join(ind[q] + "]" for q in range(k - 1, lo - 1, -1)) for lo in range(k + 1)]
+    body = json.dumps(value.tolist())[k:-k]
+    for i in range(k):
+        body = body.replace("]" * (k - 1 - i) + ", " + "[" * (k - 1 - i),
+                            closes[i + 1] + "," + ind[i + 1] + opens[i + 1])
+    return opens[0] + body + closes[0]
 
 
 def credible_intervals(means: np.ndarray, sds: np.ndarray,

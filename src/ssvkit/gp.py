@@ -99,17 +99,18 @@ class GPPosterior:
         return numerics.cholesky_psd(self.cov_at_inducing, max_jitter=1e-8).lower
 
     def to_json(self) -> str:
-        doc = {
-            "inducing_points": self.inducing_points.tolist(),
-            "mean_at_inducing": self.mean_at_inducing.tolist(),
-            "cov_at_inducing": self.cov_at_inducing.tolist(),
+        from .explain import dumps      # not at module import: explain imports gp
+
+        return dumps({
+            "inducing_points": self.inducing_points,
+            "mean_at_inducing": self.mean_at_inducing,
+            "cov_at_inducing": self.cov_at_inducing,
             "kernel": {
                 "variance": self.kernel.variance,
-                "lengthscales": self.kernel.lengthscales.tolist(),
+                "lengthscales": self.kernel.lengthscales,
             },
             "noise": self.noise,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "GPPosterior":

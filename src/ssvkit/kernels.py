@@ -9,6 +9,7 @@ and recovers the marginal expectation of the integrand.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,60 +65,79 @@ class FeatureSubset:
 
 
 def gram(params: KernelParams, mask: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coalition-restricted ARD RBF gram matrix between rows of A and B.
+    """Coalition-restricted ARD RBF gram matrix between rows of A and B: the
+    one-mask case of ``grams``."""
+    return grams(params, [mask], A, B)[0]
 
-    ``mask`` is an int whose bit u selects feature u; ``(1 << d) - 1`` is
-    the full gram.  Entry (i, j) is ``variance * exp(-0.5 * sum_{u in mask}
-    (A[i,u]-B[j,u])^2 / ls[u]^2)``; the empty coalition yields the all-ones
-    matrix (times nothing: the output scale is deliberately dropped there so
-    the empty-coalition weights reduce to a plain average).
 
-    The squared distances come from one GEMM of the scaled inputs augmented
-    with their halved squared norms, ``-|a - b|^2 / 2 = a.b - |a|^2/2 -
-    |b|^2/2``, followed by three elementwise passes (clip at 0, exp,
-    scale).  Where ``|a|^2 + |b|^2`` could overflow (above ``NORM_LIMIT``)
-    the squared differences are summed directly instead.
+def grams(params: KernelParams, masks: Sequence[int], A: np.ndarray,
+          B: np.ndarray) -> np.ndarray:
+    """Grams between rows of A and B of masks that select equally many features,
+    one (c, m, n) stack; a mixed-size mask list is a ValueError.
+
+    A mask is an int whose bit u selects feature u; ``(1 << d) - 1`` is the
+    full gram.  Entry (j, i, l) is ``variance * exp(-0.5 * sum_{u in mask_j}
+    (A[i,u]-B[l,u])^2 / ls[u]^2)``; the empty coalition yields all ones
+    (times nothing: the output scale is deliberately dropped there so the
+    empty-coalition weights reduce to a plain average).
+
+    The squared distances come from one stacked GEMM, (c, m, k+2) @ (c, k+2,
+    n), of the scaled inputs augmented with their halved squared norms,
+    ``-|a - b|^2 / 2 = a.b - |a|^2/2 - |b|^2/2``, then three elementwise
+    passes over the stack (clip at 0, exp, scale).  Each slice's product is
+    the one ``dgemm`` of a one-mask stack, so slice j is bit for bit
+    ``gram(params, masks[j], A, B)``.  For a mask whose ``|a|^2 + |b|^2``
+    could overflow (above ``NORM_LIMIT``) the squared differences are summed
+    directly instead.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != params.dim or B.shape[1] != params.dim:
+    dim = params.dim
+    if A.shape[1] != dim or B.shape[1] != dim:
         raise DimensionMismatch(
-            f"inputs have {A.shape[1]}/{B.shape[1]} columns, kernel expects {params.dim}"
+            f"inputs have {A.shape[1]}/{B.shape[1]} columns, kernel expects {dim}"
         )
-    mask = int(mask)        # a Python int, so any feature count fits
-    if mask < 0 or mask >> params.dim:
-        raise DimensionMismatch(f"mask {mask} sets a bit at or above the kernel's "
-                                f"{params.dim} features")
-    idx = np.array([u for u in range(params.dim) if mask >> u & 1], dtype=int)
-    if idx.size == 0:
-        return np.ones((A.shape[0], B.shape[0]))
-    ls = params.lengthscales[idx]
-    k = idx.size
+    idx = []
+    for mask in masks:
+        mask = int(mask)        # a Python int, so any feature count fits
+        if mask < 0 or mask >> dim:
+            raise DimensionMismatch(f"mask {mask} sets a bit at or above the kernel's "
+                                    f"{dim} features")
+        idx.append([u for u in range(dim) if mask >> u & 1])
+    if len({len(row) for row in idx}) != 1:
+        raise ValueError("grams needs masks that all select equally many features")
+    idx = np.array(idx, dtype=int)                          # c x k
+    (c, k), m, n = idx.shape, A.shape[0], B.shape[0]
+    if k == 0:
+        return np.ones((c, m, n))
+    ls = params.lengthscales[idx][:, None, :]               # c x 1 x k
     # the scaled inputs, each with two more columns for the norm terms
-    Aa, Ba = np.empty((A.shape[0], k + 2)), np.empty((B.shape[0], k + 2))
+    Aa, Ba = np.empty((c, m, k + 2)), np.empty((c, n, k + 2))
     with np.errstate(over="ignore"):    # an overflow here fails the check
-        As = np.divide(A[:, idx], ls, out=Aa[:, :k])
-        Bs = np.divide(B[:, idx], ls, out=Ba[:, :k])
+        As = np.divide(A[:, idx].transpose(1, 0, 2), ls, out=Aa[:, :, :k])
+        Bs = np.divide(B[:, idx].transpose(1, 0, 2), ls, out=Ba[:, :, :k])
         # np.sum's bits without np.sum's wrapper, which costs more than the
         # sum on small grams
-        sa, sb = np.add.reduce(As**2, axis=1), np.add.reduce(Bs**2, axis=1)
-        expand = sa.max(initial=0.0) + sb.max(initial=0.0) <= NORM_LIMIT
-    if expand:
-        # one GEMM: [As, -|a|^2/2, 1] . [Bs, 1, -|b|^2/2]^T = -|a - b|^2 / 2,
-        # clipped at 0, then variance * exp(.), in the one output buffer
-        np.multiply(sa, -0.5, out=Aa[:, k])
-        np.multiply(sb, -0.5, out=Ba[:, k + 1])
-        Aa[:, k + 1] = Ba[:, k] = 1.0
-        out = Aa @ Ba.T
-        np.minimum(out, 0.0, out=out)
-    else:
+        sa, sb = np.add.reduce(As**2, axis=2), np.add.reduce(Bs**2, axis=2)
+        expand = sa.max(axis=1, initial=0.0) + sb.max(axis=1, initial=0.0) <= NORM_LIMIT
+    # one GEMM per mask: [As, -|a|^2/2, 1] . [Bs, 1, -|b|^2/2]^T = -|a - b|^2 / 2,
+    # clipped at 0, then variance * exp(.), in the one output stack
+    np.multiply(sa, -0.5, out=Aa[:, :, k])
+    np.multiply(sb, -0.5, out=Ba[:, :, k + 1])
+    Aa[:, :, k + 1] = Ba[:, :, k] = 1.0
+    far = np.flatnonzero(~expand)
+    if far.size:
+        Aa[far] = Ba[far] = 0.0         # these slices come from the direct sums below
+    out = Aa @ Ba.transpose(0, 2, 1)
+    np.minimum(out, 0.0, out=out)
+    for j in far:
         # scaled inputs too large for the expansion: sum the squared scaled
         # differences directly; one that overflows is inf and gives k == 0
-        out = np.zeros((A.shape[0], B.shape[0]))
+        out[j] = 0.0
         with np.errstate(over="ignore"):
-            for u, l in zip(idx, ls):
-                out += ((A[:, u, None] - B[None, :, u]) / l) ** 2
-        out *= -0.5
+            for u, l in zip(idx[j], ls[j, 0]):
+                out[j] += ((A[:, u, None] - B[None, :, u]) / l) ** 2
+        out[j] *= -0.5
     np.exp(out, out=out)
     out *= params.variance
     return out

@@ -670,6 +670,55 @@ class TestPredictExplain:
         assert res.returncode == 2
 
 
+class TestWideCsvIndices:
+    """Each of the x_<k> and phi_<k> kinds must be numbered exactly 1..d."""
+
+    @pytest.mark.parametrize("header,column,what", [
+        ("x_1,x_1,phi_1,phi_2", "'x_1'", "repeats x_1"),
+        ("x_1,x_3,phi_1,phi_2", "'x_3'", "skips x_2"),
+        ("x_2,x_1,phi_1,phi_1", "'phi_1'", "repeats phi_1"),
+        ("x_1,x_2,phi_2,phi_3", "'phi_2'", "skips phi_1"),
+        ("x_0,x_1,phi_1,phi_2", "'x_0'", "is numbered 0"),
+    ], ids=["x-repeated", "x-skipped", "phi-repeated", "phi-skipped", "x-zero"])
+    @pytest.mark.parametrize("command", ["predict-explain", "analyze"])
+    def test_bad_index_exits_2_naming_the_column(self, workdir, header, column, what,
+                                                 command):
+        (workdir / "wide.csv").write_text(f"{header}\n0,1,0,0\n1,2,0.5,0.5\n2,0,1,1\n")
+        (workdir / "new.csv").write_text("x_1,x_2\n0.5,0.5\n")
+        args = (["predict-explain", "--explanations", "wide.csv", "--instances", "new.csv"]
+                if command == "predict-explain" else ["analyze", "--explanations", "wide.csv"])
+        res = run_cli(args, workdir)
+        assert_one_line_input_error(res)
+        assert f"column {column} in wide.csv {what}" in res.stderr
+
+
+class TestJsonFormat:
+    """Every JSON file a seeded session writes is exactly what the stdlib's
+    indent encoder writes for the same values (floats round-trip by repr)."""
+
+    def test_every_document_matches_the_stdlib_encoder(self, workdir):
+        session = [
+            ["fit", "--data", "train.csv", "--target", "target", "--inducing", "20",
+             "--seed", "3", "-o", "posterior.json"],
+            ["explain", "--posterior", "posterior.json", "--instances", "instances.csv",
+             "--algo", "bayesgpshap", "--seed", "3", "-o", "expl.json"],
+            ["explain", "--posterior", "posterior.json", "--instances", "instances.csv",
+             "--credible", "0.9", "--seed", "3", "-o", "credible.json"],
+            ["analyze", "--explanations", "expl.json", "--prefix", "out"],
+            ["predict-explain", "--explanations", "credible.json", "--instances",
+             "instances.csv", "--credible", "0.8", "--seed", "3", "-o", "predicted.json"],
+        ]
+        for args in session:
+            res = run_cli(args, workdir)
+            assert res.returncode == 0, res.stderr
+        written = sorted(path.name for path in workdir.glob("*.json"))
+        assert written == ["credible.json", "expl.json", "out_correlation.json",
+                           "posterior.json", "predicted.json"]
+        for name in written:
+            text = (workdir / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
 class TestAnalyze:
     def test_writes_all_tables(self, workdir):
         fitted(workdir)

@@ -9,6 +9,7 @@ block and against the memory of the whole weight tensor.
 """
 
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -224,3 +225,48 @@ class TestStreamedProjection:
         # the whole tensor is visible to tracemalloc, so the bound below bites
         assert traced_peak(lambda: cme.embedding_batch(post, design, X)) >= tensor_bytes
         assert traced_peak(lambda: explain.gpshap(post, design, X)) < tensor_bytes
+
+
+class TestStackedGrams:
+    """Both sides of the coalition solves are built one ``kernels.grams``
+    stack per size level when a level fits one stack."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        calls = []
+        grams = kernels.grams
+
+        def spy(params, masks, A, B):
+            calls.append((len(A), len(B), int(masks[0]).bit_count(), len(masks)))
+            return grams(params, masks, A, B)        # which rejects mixed sizes
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernels.gram called on the coalition path")
+
+        monkeypatch.setattr(kernels, "grams", spy)
+        monkeypatch.setattr(kernels, "gram", forbidden)
+        return calls
+
+    @staticmethod
+    def levels(calls, m, n):
+        """(size, count) of each call whose inputs are m x n rows."""
+        return [(size, count) for a, b, size, count in calls if (a, b) == (m, n)]
+
+    @pytest.fixture
+    def posterior(self, rng):
+        return fit_synthetic_posterior(rng, n=30, d=6, n_inducing=8)
+
+    def test_one_call_per_size_level_per_side(self, posterior, spied):
+        (d, m, n), (post, data) = (6, 8, 5), posterior      # fitted before the spy
+        design = coalition.enumerate_coalitions(d)
+        kernel, rows, X = post.kernel, post.inducing_points, data.X[:n]
+        lam = cme.default_lambda(m)
+        assert m * m * 20 <= cme.STACK_ENTRIES            # the widest level fits one stack
+        full = [(s, comb(d, s)) for s in range(d + 1)]
+        cme.projected_batch(post, design, X, lam)
+        assert len(spied) == 2 * (d + 1)
+        assert self.levels(spied, m, m) == full and self.levels(spied, m, n) == full
+        spied.clear()
+        cme.coalition_embedding(kernel, rows, design, lam).projected(X)
+        assert len(spied) == 2 * (d + 1)
+        assert self.levels(spied, m, m) == full and self.levels(spied, m, n) == full

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssvkit import cme, coalition, explain, gp, kernels, numerics
 from ssvkit.explain import BayesConfig
@@ -386,3 +389,34 @@ class TestCovarianceOwners:
         doc = json.loads(batch.to_json())
         assert doc["means"] == [] and doc["cov"] == []
         assert doc.get("sigma2", []) == []
+
+
+def tolisted(value):
+    """``value`` with every ndarray replaced by its ``tolist()``."""
+    if isinstance(value, dict):
+        return {key: tolisted(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308]
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+STRINGS = st.text(alphabet=st.sampled_from('ab,", []\n\\:{}\té€😀'), max_size=12)
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=FLOATS),
+    hnp.arrays(st.sampled_from([np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+    st.sampled_from([np.zeros((0, 3, 3)), np.zeros((2, 0)), np.zeros((0,)), np.array(1.5)]),
+)
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, STRINGS, ARRAYS,
+                   st.lists(st.one_of(FLOATS, STRINGS), max_size=3))
+DOCUMENTS = st.dictionaries(
+    STRINGS, st.recursive(LEAVES, lambda inner: st.dictionaries(STRINGS, inner, max_size=3),
+                          max_leaves=8), max_size=5)
+
+
+class TestDumps:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(doc=DOCUMENTS)
+    def test_equals_the_stdlib_indent_encoder(self, doc):
+        assert explain.dumps(doc) == json.dumps(tolisted(doc), indent=2, sort_keys=True)

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssvkit import kernels, numerics
 from ssvkit.errors import DimensionMismatch, TooFewPoints
-from ssvkit.kernels import FeatureSubset, KernelParams, gram, median_heuristic
+from ssvkit.kernels import FeatureSubset, KernelParams, gram, grams, median_heuristic
 
 
 @pytest.fixture
@@ -163,6 +165,76 @@ class TestGram:
         np.testing.assert_allclose(direct, expanded, rtol=1e-13)
         np.testing.assert_allclose(direct, self.reference(params, 0b111, A, B),
                                    rtol=1e-14)
+
+
+def one_gemm_gram(params, mask, A, B):
+    """The one-mask, one-GEMM gram written out plainly: the bit-for-bit
+    reference of every slice of a stack."""
+    idx = [u for u in range(params.dim) if mask >> u & 1]
+    if not idx:
+        return np.ones((len(A), len(B)))
+    ls, k = params.lengthscales[idx], len(idx)
+    Aa, Ba = np.empty((len(A), k + 2)), np.empty((len(B), k + 2))
+    As = np.divide(A[:, idx], ls, out=Aa[:, :k])
+    Bs = np.divide(B[:, idx], ls, out=Ba[:, :k])
+    Aa[:, k] = -0.5 * np.add.reduce(As**2, axis=1)
+    Ba[:, k + 1] = -0.5 * np.add.reduce(Bs**2, axis=1)
+    Aa[:, k + 1] = Ba[:, k] = 1.0
+    return params.variance * np.exp(np.minimum(Aa @ Ba.T, 0.0))
+
+
+@st.composite
+def equal_size_masks(draw):
+    """(d, masks of one popcount, m, n, seed) with d <= 8 and m, n in {1, 2, 7, 50}."""
+    d = draw(st.integers(1, 8))
+    size = draw(st.integers(0, d))
+    level = [mask for mask in range(1 << d) if mask.bit_count() == size]
+    masks = draw(st.lists(st.sampled_from(level), min_size=1, max_size=len(level),
+                          unique=True))
+    m, n = draw(st.sampled_from([1, 2, 7, 50])), draw(st.sampled_from([1, 2, 7, 50]))
+    return d, masks, m, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestGrams:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=equal_size_masks())
+    def test_every_slice_is_the_one_mask_gram_bit_for_bit(self, case):
+        d, masks, m, n, seed = case
+        rng = np.random.default_rng(seed)
+        params = KernelParams(variance=rng.uniform(1.5, 4.0),
+                              lengthscales=rng.uniform(0.2, 5.0, d))
+        A, B = 2.0 * rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        stack = grams(params, masks, A, B)
+        assert stack.shape == (len(masks), m, n)
+        for j, mask in enumerate(masks):
+            np.testing.assert_array_equal(stack[j], gram(params, mask, A, B))
+            np.testing.assert_array_equal(stack[j], one_gemm_gram(params, mask, A, B))
+
+    def test_empty_masks_are_all_ones(self, params, rng):
+        A, B = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        np.testing.assert_array_equal(grams(params, [0, 0], A, B), np.ones((2, 4, 5)))
+
+    def test_the_direct_sums_are_chosen_per_mask(self, rng):
+        # feature 0 near 1e154 overflows the expansion of the two masks that
+        # hold it; the third mask of the same stack still expands
+        params = KernelParams(variance=1.5, lengthscales=np.array([0.9, 1.3, 0.7]))
+        A, B = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        A[0, 0] = 3.3e154
+        masks = [0b011, 0b101, 0b110]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = grams(params, masks, A, B)
+        for j, mask in enumerate(masks):
+            np.testing.assert_array_equal(stack[j], gram(params, mask, A, B))
+            np.testing.assert_allclose(stack[j], TestGram.reference(params, mask, A, B),
+                                       rtol=1e-14, atol=1e-300)
+        np.testing.assert_array_equal(stack[2], one_gemm_gram(params, 0b110, A, B))
+        assert np.all(stack[:2, 0] == 0.0)
+
+    @pytest.mark.parametrize("masks", [[0b001, 0b011], [0, 0b100], []])
+    def test_masks_of_mixed_sizes_are_rejected(self, params, masks):
+        with pytest.raises(ValueError, match="select equally many features"):
+            grams(params, masks, np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestMedianHeuristic:
