@@ -31,11 +31,9 @@ names = ["x1", "x2", "x3", "const"]
 data = ssvkit.Dataset(X=X, y=y)
 
 # --- fit: grid-searched hyperparameters, farthest-point inducing set -----
-params, noise = ssvkit.select_hyperparameters(data)
-idx = ssvkit.select_inducing(data, 40, "farthest_point")
-posterior = ssvkit.fit_exact(data, params, noise, idx)
-print(f"fitted GP: lengthscales={np.round(params.lengthscales, 2)} "
-      f"noise={noise:.4f} inducing={posterior.n_inducing}")
+posterior, _ = ssvkit.fit(data, inducing=40)
+print(f"fitted GP: lengthscales={np.round(posterior.kernel.lengthscales, 2)} "
+      f"noise={posterior.noise:.4f} inducing={posterior.n_inducing}")
 
 # --- explain the first five instances ------------------------------------
 design = ssvkit.enumerate_coalitions(d)

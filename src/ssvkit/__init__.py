@@ -24,7 +24,7 @@ from .explain import (
     credible_intervals,
     gpshap,
 )
-from .gp import Dataset, GPPosterior, fit_exact, select_hyperparameters, select_inducing
+from .gp import Dataset, GPPosterior, fit, fit_exact, select_inducing
 from .kernels import KernelParams, gram, median_heuristic
 from .shapley_prior import ExplanationDataset, ShapleyPriorModel
 
@@ -38,8 +38,7 @@ __all__ = [
     "shapley_kernel_weight", "shapley_of_variance_game",
     "BayesConfig", "ExplanationBatch",
     "bayesgpshap", "bayesshap_deterministic", "credible_intervals", "gpshap",
-    "Dataset", "GPPosterior", "fit_exact", "select_hyperparameters",
-    "select_inducing",
+    "Dataset", "GPPosterior", "fit", "fit_exact", "select_inducing",
     "KernelParams", "gram", "median_heuristic",
     "ExplanationDataset", "ShapleyPriorModel",
 ]

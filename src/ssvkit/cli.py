@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import analysis, coalition, explain, gp, kernels, numerics, shapley_prior
-from .errors import SingularSystem, SsvkitError
+from .errors import CountOutOfRange, SingularSystem, SsvkitError
 
 
 class _Main(click.Group):
@@ -101,11 +101,11 @@ def _write(path: str, text: str):
 
 
 @contextmanager
-def _naming(option: str, value):
-    """Prefix an input or design error raised inside with ``option value: ``."""
+def _naming(option: str, value, errors=(ValueError, SingularSystem)):
+    """Prefix an error of ``errors`` raised inside with ``option value: ``."""
     try:
         yield
-    except (ValueError, SingularSystem) as exc:     # same type, so the same exit code
+    except errors as exc:                           # same type, so the same exit code
         raise type(exc)(f"{option} {value}: {exc}") from None
 
 
@@ -164,18 +164,13 @@ def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractio
     """Fit an exact GP to a CSV dataset and store its inducing-set posterior."""
     _, X, y = _read_csv_matrix(data_path, target)
     data = gp.Dataset(X=X, y=y)
-    params, noise = gp.select_hyperparameters(data, ls_multipliers, noise_fractions)
-    idx = None                                      # every row
-    if inducing is not None and inducing < data.n:
-        with _naming("--inducing", inducing):
-            idx = gp.select_inducing(data, inducing, strategy, seed)
-    posterior = gp.fit_exact(data, params, noise, idx)
-    ll = gp.log_marginal_likelihood(data, params, noise)
+    with _naming("--inducing", inducing, CountOutOfRange):     # only the row count's error
+        posterior, ll = gp.fit(data, inducing, strategy, seed, ls_multipliers, noise_fractions)
     _write(output, posterior.to_json() + "\n")
-    lengthscales = ", ".join(f"{v:.6g}" for v in params.lengthscales)
+    lengthscales = ", ".join(f"{v:.6g}" for v in posterior.kernel.lengthscales)
     click.echo(f"n={data.n} d={data.d} n_inducing={posterior.n_inducing} "
-               f"lengthscales=[{lengthscales}] "
-               f"noise={noise:.6g} log_marginal_likelihood={ll:.6f}", err=output == "-")
+               f"lengthscales=[{lengthscales}] noise={posterior.noise:.6g} "
+               f"log_marginal_likelihood={ll:.6f}", err=output == "-")
 
 
 def _load_posterior(path: str) -> gp.GPPosterior:

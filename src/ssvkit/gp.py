@@ -5,8 +5,8 @@ posterior mean vector and covariance matrix at the inducing rows, so any
 model producing that interface is interchangeable.  Here the posterior is
 computed by exact Gaussian conditioning on the full training set and the
 inducing rows are a subset of the training inputs, selected either
-uniformly at random or by greedy farthest-point traversal.  Kernel and
-noise come from a likelihood grid search, ``select_hyperparameters``.
+uniformly at random or by greedy farthest-point traversal.  ``fit``
+chooses kernel and noise by a likelihood grid search and conditions once.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def select_inducing(data: Dataset, count: int, strategy: str = "farthest_point",
 
     ``uniform`` samples without replacement, ``farthest_point`` greedily
     maximizes the minimum Euclidean distance starting from the point nearest
-    the data mean.  Every row is ``fit_exact``'s ``inducing=None``.
+    the data mean.  Every row is ``gp.fit``'s ``inducing=None``.
     """
     n = data.n
     if not (1 <= count <= n):
@@ -213,18 +213,19 @@ def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float,
     )
 
 
-def select_hyperparameters(data: Dataset,
-                           ls_multipliers: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
-                           noise_fractions: Sequence[float] = (1e-3, 1e-2, 1e-1, 1.0)
-                           ) -> tuple[KernelParams, float]:
-    """Grid search maximizing the exact log marginal likelihood.
+def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest_point",
+        seed: int = 0, ls_multipliers: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
+        noise_fractions: Sequence[float] = (1e-3, 1e-2, 1e-1, 1.0)
+        ) -> tuple[GPPosterior, float]:
+    """The exact GP at the maximum of a log marginal likelihood grid, and that maximum.
 
     The grid crosses median-heuristic lengthscale multiples with fractions
-    of var(y) as noise, at unit kernel variance.  It runs lengthscale-major
-    and the first maximum wins.  Each multiplier builds one n x n gram,
-    which its noise levels factor with their own noise on the diagonal and
-    which is dropped before the next is built: memory stays at one gram
-    plus one factor, and every likelihood is bit-identical to a fresh call.
+    of var(y) as noise, at unit kernel variance; it runs lengthscale-major
+    and the first maximum wins.  Each multiplier's n x n gram serves its
+    noise levels and is dropped before the next, so one gram and one factor
+    are held at a time and every likelihood, the returned one too, equals a
+    fresh call bit for bit.  ``inducing`` None or at least n keeps every
+    row; otherwise ``select_inducing`` picks that many, before the search.
     """
     for name, values in (("ls_multipliers", ls_multipliers),
                          ("noise_fractions", noise_fractions)):
@@ -233,6 +234,8 @@ def select_hyperparameters(data: Dataset,
         for v in values:
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    rows = (None if inducing is None or inducing >= data.n
+            else select_inducing(data, inducing, strategy, seed))
     base = kernels.median_heuristic(data.X)
     with np.errstate(over="ignore"):    # an overflow here fails the check
         var_y = float(np.var(data.y)) or 1.0
@@ -248,4 +251,4 @@ def select_hyperparameters(data: Dataset,
             if ll > best_ll:
                 best, best_ll = (params, noise), ll
         del K                               # drop this gram before building the next
-    return best
+    return fit_exact(data, *best, rows), best_ll

@@ -131,6 +131,23 @@ class TestFit:
         assert np.asarray(doc["inducing_points"]).shape == (10, 3)
         assert "n_inducing=10 " in res.stdout
 
+    @pytest.mark.parametrize("inducing,strategy,seed", [
+        (None, "farthest_point", 0), (25, "farthest_point", 0), (41, "farthest_point", 0),
+        (10, "uniform", 3),
+    ], ids=["omitted", "below-n", "above-n", "uniform"])
+    def test_writes_what_the_library_fits(self, workdir, inducing, strategy, seed):
+        from ssvkit import gp
+
+        args = [] if inducing is None else ["--inducing", str(inducing)]
+        res = run_cli(["fit", "--data", "train.csv", "--target", "target", *args,
+                       "--strategy", strategy, "--seed", str(seed), "-o", "out.json"],
+                      workdir)
+        assert res.returncode == 0, res.stderr
+        train = np.loadtxt(workdir / "train.csv", delimiter=",", skiprows=1)
+        post, ll = gp.fit(gp.Dataset(X=train[:, :3], y=train[:, 3]), inducing, strategy, seed)
+        assert (workdir / "out.json").read_text() == post.to_json() + "\n"
+        assert res.stdout.endswith(f" log_marginal_likelihood={ll:.6f}\n")
+
     def test_sampled_design_beyond_30_features_exits_2(self, tmp_path):
         assert self.fit_wide(tmp_path, 31).returncode == 0
         res = run_cli(["explain", "--posterior", "posterior.json",

@@ -1,12 +1,15 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script runs to completion without writing to stderr, and the
+README's library quick start runs without a warning."""
 
 import pathlib
+import warnings
 
 import pytest
 
 from conftest import run_python
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_there_are_demos():
@@ -18,3 +21,11 @@ def test_demo_runs_cleanly(script, tmp_path):
     res = run_python([str(script)], tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
+
+
+def test_readme_quick_start_runs_without_warnings():
+    section = (ROOT / "README.md").read_text().split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(code, "README.md", "exec"), {})

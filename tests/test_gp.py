@@ -84,7 +84,7 @@ class TestSelectInducing:
             gp.select_inducing(small_data, 5, "bogus")
 
     def test_every_row_is_not_a_strategy(self, small_data):
-        # fit_exact's inducing=None is every row; a strategy always keeps its count
+        # gp.fit's inducing=None is every row; a strategy always keeps its count
         with pytest.raises(ValueError, match="unknown strategy 'all'"):
             gp.select_inducing(small_data, 10, "all")
         assert len(gp.select_inducing(small_data, 10)) == 10
@@ -276,23 +276,25 @@ class TestMarginalLikelihood:
 
 
 class TestSelectHyperparameters:
+    """The grid search inside ``gp.fit``."""
+
     def test_picks_grid_maximum(self, small_data):
-        best_params, best_noise = gp.select_hyperparameters(small_data)
-        best_ll = gp.log_marginal_likelihood(small_data, best_params, best_noise)
+        post, _ = gp.fit(small_data)
+        best_ll = gp.log_marginal_likelihood(small_data, post.kernel, post.noise)
         for lengthscales, noise in grid_points(small_data):
             assert best_ll >= fresh_lml(small_data, lengthscales, noise) - 1e-9
 
     def test_tie_breaks_to_earliest(self, small_data, monkeypatch):
         grams = spy(monkeypatch, kernels, "gram")
         lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
-        params, noise = gp.select_hyperparameters(small_data, [1.0, 1.0], [0.5, 0.5])
-        assert len(grams) == 2 and len({ll for _, _, ll in lmls}) == 1
-        assert params is grams[0][0][0] and params is lmls[0][0][1]
-        assert noise == lmls[0][0][2] == 0.5 * float(np.var(small_data.y))
+        post, _ = gp.fit(small_data, ls_multipliers=[1.0, 1.0], noise_fractions=[0.5, 0.5])
+        assert len(grams) == 2 + 1 and len({ll for _, _, ll in lmls}) == 1
+        assert post.kernel is grams[0][0][0] and post.kernel is lmls[0][0][1]
+        assert post.noise == lmls[0][0][2] == 0.5 * float(np.var(small_data.y))
 
     def test_grid_crosses_the_given_multipliers_and_fractions(self, small_data, monkeypatch):
         lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
-        gp.select_hyperparameters(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
+        gp.fit(small_data, ls_multipliers=[0.5, 3.0], noise_fractions=[0.1, 0.2, 0.3])
         want = grid_points(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
         assert len(lmls) == len(want) == 6
         for (args, _, _), (lengthscales, noise) in zip(lmls, want):
@@ -309,18 +311,18 @@ class TestSelectHyperparameters:
                                              message):
         medians = spy(monkeypatch, kernels, "median_heuristic")
         with pytest.raises(ValueError, match=message):
-            gp.select_hyperparameters(small_data, ls, noise)
+            gp.fit(small_data, ls_multipliers=ls, noise_fractions=noise)
         assert medians == []        # validated before any work
 
     def test_empty_grid(self, small_data):
         with pytest.raises(ValueError, match="ls_multipliers must not be empty"):
-            gp.select_hyperparameters(small_data, [], [0.1])
+            gp.fit(small_data, ls_multipliers=[], noise_fractions=[0.1])
         with pytest.raises(ValueError, match="noise_fractions must not be empty"):
-            gp.select_hyperparameters(small_data, [1.0], [])
+            gp.fit(small_data, ls_multipliers=[1.0], noise_fractions=[])
 
     def test_default_grid_shape(self, small_data, monkeypatch):
         lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
-        gp.select_hyperparameters(small_data)
+        gp.fit(small_data)
         assert len(lmls) == 20
         noises = sorted({args[2] for args, _, _ in lmls})
         var_y = np.var(small_data.y)
@@ -329,17 +331,27 @@ class TestSelectHyperparameters:
 
 
 class TestGramReuse:
-    """``select_hyperparameters`` builds one n x n gram per lengthscale
-    multiplier and hands it to ``log_marginal_likelihood``."""
+    """``gp.fit``'s search builds one n x n gram per lengthscale multiplier and
+    hands it to ``log_marginal_likelihood``; ``fit_exact`` then builds its own."""
 
     def test_default_grid_builds_one_gram_per_lengthscale(self, small_data, monkeypatch):
         grams = spy(monkeypatch, kernels, "gram")
         lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
-        gp.select_hyperparameters(small_data)
-        assert len(grams) == 5
+        grams_before_fit_exact, fit_exact = [], gp.fit_exact
+
+        def counted(*args, **kwargs):
+            grams_before_fit_exact.append(len(grams))
+            return fit_exact(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "fit_exact", counted)
+        post, _ = gp.fit(small_data)
+        assert len(grams) == 5 + 1 and grams_before_fit_exact == [5]
         for (args, _, K), run in zip(grams, [lmls[k:k + 4] for k in range(0, 20, 4)]):
             for lml_args, lml_kwargs, _ in run:
                 assert lml_args[1] is args[0] and lml_kwargs["gram"] is K
+        args, _, K = grams[5]
+        assert args[0] is post.kernel and K.shape == (30, 30)
+        assert all(kwargs["gram"] is not K for _, kwargs, _ in lmls)
 
     def test_holds_at_most_one_gram(self, small_data, monkeypatch):
         refs, original = [], kernels.gram
@@ -351,23 +363,24 @@ class TestGramReuse:
             return K
 
         monkeypatch.setattr(kernels, "gram", tracked)
-        gp.select_hyperparameters(small_data)
-        assert len(refs) == 5
+        gp.fit(small_data)
+        assert len(refs) == 5 + 1
 
     def test_grid_likelihoods_equal_fresh_calls_bit_for_bit(self, small_data, monkeypatch):
         lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
-        chosen_params, chosen_noise = gp.select_hyperparameters(small_data)
+        post, ll = gp.fit(small_data)
         monkeypatch.undo()
         grid = grid_points(small_data)
         assert len(lmls) == 20
         fresh = [fresh_lml(small_data, lengthscales, noise) for lengthscales, noise in grid]
-        for (args, kwargs, ll), (lengthscales, noise), want in zip(lmls, grid, fresh):
+        for (args, kwargs, got), (lengthscales, noise), want in zip(lmls, grid, fresh):
             np.testing.assert_array_equal(args[1].lengthscales, lengthscales)
             assert args[2] == noise and kwargs["gram"] is not None
-            assert ll == want
+            assert got == want
         lengthscales, noise = grid[int(np.argmax(fresh))]
-        np.testing.assert_array_equal(chosen_params.lengthscales, lengthscales)
-        assert chosen_noise == noise
+        np.testing.assert_array_equal(post.kernel.lengthscales, lengthscales)
+        assert post.noise == noise and ll == max(fresh)
+
 
     def test_callers_gram_is_left_bit_identical(self, small_data):
         lengthscales, noise = grid_points(small_data)[6]
@@ -386,6 +399,54 @@ class TestGramReuse:
         with pytest.raises(JitterExceeded):  # a diagonal of -1 plus 0.5 is indefinite
             gp.log_marginal_likelihood(small_data, params, 0.5, gram=K)
         assert K.tobytes() == before
+
+
+INTERLEAVED = ([1.0, 0.5, 1.0, 2.0], [0.1, 1e-3, 1.0])
+
+
+class TestFit:
+    @pytest.mark.parametrize("inducing", [0, -3])
+    def test_bad_inducing_count_fails_before_the_search(self, small_data, monkeypatch,
+                                                        inducing):
+        grams = spy(monkeypatch, kernels, "gram")
+        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        with pytest.raises(CountOutOfRange, match=f"count must be in \\[1, 30\\], got {inducing}"):
+            gp.fit(small_data, inducing=inducing)
+        assert grams == [] and lmls == []
+
+    @pytest.mark.parametrize("grid", [(LS_MULTIPLIERS, NOISE_FRACTIONS), INTERLEAVED],
+                             ids=["default", "interleaved"])
+    def test_returns_the_winners_likelihood_bit_for_bit(self, small_data, grid):
+        post, ll = gp.fit(small_data, ls_multipliers=grid[0], noise_fractions=grid[1])
+        assert ll == gp.log_marginal_likelihood(small_data, post.kernel, post.noise)
+
+    @pytest.mark.parametrize("grid", [(LS_MULTIPLIERS, NOISE_FRACTIONS), INTERLEAVED],
+                             ids=["default", "interleaved"])
+    @pytest.mark.parametrize("inducing", [None, 12])
+    def test_builds_each_system_once_and_the_winners_twice(self, small_data, monkeypatch,
+                                                           count_cholesky, grid, inducing):
+        grams = spy(monkeypatch, kernels, "gram")
+        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        ls, nf = grid
+        gp.fit(small_data, inducing, ls_multipliers=ls, noise_fractions=nf)
+        n = small_data.n
+        assert len(lmls) == len(ls) * len(nf)
+        assert sum(K.shape == (n, n) for _, _, K in grams) == len(ls) + 1
+        assert count_cholesky.count((n, n)) == len(ls) * len(nf) + 1
+
+    def test_every_row_when_inducing_is_none_or_at_least_n(self, small_data):
+        every, ll = gp.fit(small_data)
+        np.testing.assert_array_equal(every.inducing_points, small_data.X)
+        for inducing in (30, 31):
+            post, same = gp.fit(small_data, inducing, "uniform")
+            assert post.to_json() == every.to_json() and same == ll
+
+    @pytest.mark.parametrize("strategy,seed", [("farthest_point", 0), ("uniform", 4)])
+    def test_below_n_conditions_at_the_selected_rows(self, small_data, strategy, seed):
+        post, _ = gp.fit(small_data, 12, strategy, seed)
+        rows = gp.select_inducing(small_data, 12, strategy, seed)
+        want = gp.fit_exact(small_data, post.kernel, post.noise, rows)
+        assert post.to_json() == want.to_json()
 
 
 class TestPosteriorFactor:
