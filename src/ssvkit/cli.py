@@ -321,7 +321,8 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
                          f"explanations have {X.shape[1]}")
     design = _design(X.shape[1], coalitions, seed)
     data = shapley_prior.ExplanationDataset(X=X, Phi=Phi)
-    anchor_pts = shapley_prior.farthest_point_anchors(X, anchors)
+    with _naming("--anchors", anchors, CountOutOfRange):
+        anchor_pts = shapley_prior.farthest_point_anchors(X, anchors)
     params = kernels.KernelParams(variance=1.0, lengthscales=kernels.median_heuristic(X))
     model = shapley_prior.fit(data, anchor_pts, params, design, lam, noise)
     means, covs = shapley_prior.predict_batch(model, X_new)
@@ -352,7 +353,8 @@ def cmd_analyze(expl_path, instance, sparsity, prefix):
     sds = explain.marginal_sds(cov)
     imp = analysis.importance(means, sds)
     corr = analysis.correlation_matrix(cov[instance])
-    edges = analysis.precision_graph(cov[instance], sparsity)
+    with _naming("--sparsity", sparsity):
+        edges = analysis.precision_graph(cov[instance], sparsity)
     lines = ["feature,mean_abs_ssv,abs_mean_ssv"]
     for name, folded, absolute in zip(cells, imp.mean_abs_ssv, imp.abs_mean_ssv):
         lines.append(f"{name},{float(folded)!r},{float(absolute)!r}")

@@ -238,10 +238,40 @@ def dumps(doc: dict) -> str:
     A non-empty array of ndim k takes one C-level ``json.dumps`` of its list
     and k ``str.replace`` passes, longest token first: a number's text holds
     no bracket and no ", ", so only the lists at depth i separate their items
-    by ``"]" * (k-1-i) + ", " + "[" * (k-1-i)``.  Any other value (empty and
-    0-d arrays too) is ``json.dumps(value, indent=2)``, re-indented.
+    by ``"]" * (k-1-i) + ", " + "[" * (k-1-i)``.  A stack of square matrices
+    each equal to its transpose bit for bit (a covariance) formats only its
+    upper triangles and mirrors their text.  Any other value (empty and 0-d
+    arrays too) is ``json.dumps(value, indent=2)``, re-indented.
     """
     return _dumps(doc, 0)
+
+
+def _symmetric(value: np.ndarray) -> bool:
+    """True iff ``value`` is a float64 stack of square matrices, each equal to
+    its transpose bit for bit: ``0.0 == -0.0``, but their reprs differ."""
+    if value.dtype != np.float64 or value.ndim < 2 or value.shape[-1] != value.shape[-2]:
+        return False
+    bits = value.view(np.int64)
+    return np.array_equal(bits, np.swapaxes(bits, -1, -2))
+
+
+def _mirrored_text(value: np.ndarray) -> str:
+    """``json.dumps(value.tolist())`` for a non-empty ``_symmetric`` value: each
+    matrix's upper triangle is formatted once, in one C-level ``json.dumps``,
+    and entry (i, j) takes the text of entry (min(i, j), max(i, j))."""
+    d = value.shape[-1]
+    upper = np.triu_indices(d)
+    tokens = np.array(json.dumps(value[..., upper[0], upper[1]].ravel().tolist())[1:-1]
+                      .split(", "), dtype=object)
+    index = np.zeros((d, d), dtype=np.intp)
+    index[upper] = np.arange(upper[0].size)
+    index = np.maximum(index, index.T)          # the lower triangle is 0 before this
+    stacks = np.arange(value.size // (d * d))[:, None] * upper[0].size
+    items = tokens[(stacks + index.ravel()).ravel()].tolist()
+    for size in reversed(value.shape):          # innermost lists first
+        items = ["[" + ", ".join(items[i:i + size]) + "]"
+                 for i in range(0, len(items), size)]
+    return items[0]
 
 
 def _dumps(value, level: int) -> str:
@@ -259,7 +289,8 @@ def _dumps(value, level: int) -> str:
     ind = [pad + "  " * q for q in range(k + 1)]         # the indent of depth q
     opens = ["".join("[" + ind[q + 1] for q in range(lo, k)) for lo in range(k + 1)]
     closes = ["".join(ind[q] + "]" for q in range(k - 1, lo - 1, -1)) for lo in range(k + 1)]
-    body = json.dumps(value.tolist())[k:-k]
+    text = _mirrored_text(value) if _symmetric(value) else json.dumps(value.tolist())
+    body = text[k:-k]
     for i in range(k):
         body = body.replace("]" * (k - 1 - i) + ", " + "[" * (k - 1 - i),
                             closes[i + 1] + "," + ind[i + 1] + opens[i + 1])

@@ -16,14 +16,21 @@ to ``dtrsm``, so most of the flops run at GEMM speed (Elmroth, Gustavson,
 Jonsson & Kagstrom, SIAM Review 2004).  No block of the factor is
 contiguous, so f2py copies each block it hands to BLAS: 1.25 m^2 entries
 per solve at m = 200.  The rhs is never copied past its one row-major copy.
+
+``blas`` and ``lapack`` are scipy's f2py modules ``scipy.linalg._fblas`` and
+``_flapack``, whose Fortran routines ``scipy.linalg.blas`` and ``lapack``
+re-export; ``_compiled_linalg`` loads them without ``scipy.linalg``'s package
+init, which is about half of every command's start-up.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import JitterExceeded
 
@@ -35,6 +42,35 @@ DEFAULT_MAX_JITTER = 1e-4
 # m = 48..400 with 100 columns, one BLAS thread: no size got slower, and
 # halving at 65 rows (blocks of 32) took x1.09 the time
 _SOLVE_LEAF = 96
+
+
+def _compiled_linalg():
+    """scipy.linalg's ``_fblas`` and ``_flapack``, loaded from their files.
+
+    The package init imports ``numpy.testing``, ``numpy.f2py``,
+    ``numpy.random`` and ``numpy.ma``; ``find_spec`` runs only the ``scipy``
+    top package's.  Each module is registered in ``sys.modules`` under its
+    name, so a later ``import scipy.linalg`` reuses it (and one loaded
+    before is reused here).  Without the files (an unusual scipy layout) the
+    modules are imported by name, through the package init.
+    """
+    folder = importlib.util.find_spec("scipy.linalg").submodule_search_locations[0]
+    finder = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    specs = [finder.find_spec(f"scipy.linalg.{name}") for name in ("_fblas", "_flapack")]
+    if None in specs:
+        from scipy.linalg import _fblas, _flapack
+        return _fblas, _flapack
+    modules = []
+    for spec in specs:
+        if spec.name not in sys.modules:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[spec.name] = module
+            spec.loader.exec_module(module)
+        modules.append(sys.modules[spec.name])
+    return modules
+
+
+blas, lapack = _compiled_linalg()
 
 
 @dataclass(frozen=True)

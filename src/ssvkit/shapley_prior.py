@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from . import cme, gp, kernels, numerics
 from .coalition import CoalitionDesign
@@ -104,8 +103,12 @@ def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
     y = data.Phi.reshape(-1)
     weight_factor = numerics.cholesky_psd(G.T @ G, shift=noise)
     weight_mean = weight_factor.solve(G.T @ y)
-    cov_root = np.sqrt(noise) * linalg.solve_triangular(
-        weight_factor.lower, L.T, lower=True).T
+    # R^-1 L^T by the dtrtrs call scipy's solve_triangular makes for a
+    # Fortran-ordered lower factor
+    solved, info = numerics.lapack.dtrtrs(weight_factor.lower, L.T, lower=1)
+    if info != 0:
+        raise ValueError(f"dtrtrs failed with info {info}")
+    cov_root = np.sqrt(noise) * solved.T
     return ShapleyPriorModel(embedding=embedding, anchor_factor=anchor_factor,
                              mean_map=L @ weight_mean, cov_root=cov_root)
 

@@ -484,15 +484,30 @@ class TestInputBoundary:
             "ls-multipliers-0", "fit-ls-multipliers-text", "fit-noise-fractions-text",
             "fit-inducing-negative"])
     def test_bad_input_exits_2(self, explained, tmp_path, files, args, where):
+        res = self.run_bad(explained, tmp_path, files, args)
+        assert_one_line_input_error(res)
+        assert where in res.stderr
+
+    @staticmethod
+    def run_bad(explained, tmp_path, files, args):
+        """``args`` run on the explained inputs, with ``files`` written over them."""
         for name in ("train.csv", "instances.csv", "posterior.json", "expl.json"):
             shutil.copy(explained / name, tmp_path)
         (tmp_path / "new.csv").write_text("x_1\n0.5\n")
         for name, content in files.items():
             text = content if isinstance(content, str) else json.dumps(content)
             (tmp_path / name).write_text(text)
-        res = run_cli(args, tmp_path)
-        assert_one_line_input_error(res)
-        assert where in res.stderr
+        return run_cli(args, tmp_path)
+
+    @pytest.mark.parametrize("files,args,line", [
+        ({}, ["analyze", "--explanations", "expl.json", "--sparsity", "1.5"],
+         "error: --sparsity 1.5: sparsity must lie in [0, 1)\n"),
+        ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "0"],
+         "error: --anchors 0: anchor count must be at least 1, got 0\n"),
+    ], ids=["sparsity", "anchors"])
+    def test_range_error_names_its_option(self, explained, tmp_path, files, args, line):
+        res = self.run_bad(explained, tmp_path, files, args)
+        assert (res.returncode, res.stderr) == (2, line)
 
     def test_posterior_covariance_not_psd_exits_2(self, explained, tmp_path):
         # symmetric with a unit diagonal, but its eigenvalues include -1
@@ -575,6 +590,16 @@ class TestImportFootprint:
             ["-c", "import sys, ssvkit.cli; print('scipy.special' in sys.modules)"], tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # scipy.linalg's package init imports numpy.testing, numpy.f2py and more,
+        # about half of every command's start-up; numerics loads the compiled
+        # BLAS/LAPACK modules from their files instead, and had it fallen back to
+        # importing them by name, scipy.linalg would be loaded
+        res = run_python(["-c", "import sys, ssvkit.cli; print([m for m in ('scipy.linalg', "
+                          "'numpy.testing', 'numpy.f2py') if m in sys.modules])"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
 
 class TestExtremeMagnitudes:

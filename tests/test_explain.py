@@ -410,6 +410,21 @@ ARRAYS = st.one_of(
 )
 LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, STRINGS, ARRAYS,
                    st.lists(st.one_of(FLOATS, STRINGS), max_size=3))
+
+
+def mirrored(a):
+    """``a`` with each trailing matrix's lower triangle copied bit for bit from
+    its upper one."""
+    a = a.copy()
+    lower = np.tril_indices(a.shape[-1], -1)
+    a[..., lower[0], lower[1]] = a[..., lower[1], lower[0]]
+    return a
+
+
+SYMMETRIC = st.tuples(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+                      st.integers(0, 5)).flatmap(
+    lambda dims: hnp.arrays(np.float64, dims[0] + (dims[1], dims[1]), elements=FLOATS)
+).map(mirrored)
 DOCUMENTS = st.dictionaries(
     STRINGS, st.recursive(LEAVES, lambda inner: st.dictionaries(STRINGS, inner, max_size=3),
                           max_leaves=8), max_size=5)
@@ -419,4 +434,28 @@ class TestDumps:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(doc=DOCUMENTS)
     def test_equals_the_stdlib_indent_encoder(self, doc):
+        assert explain.dumps(doc) == json.dumps(tolisted(doc), indent=2, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cov=SYMMETRIC)
+    def test_symmetric_stacks_equal_the_stdlib_indent_encoder(self, cov):
+        assert explain._symmetric(cov)
+        assert explain.dumps({"cov": cov}) == json.dumps({"cov": cov.tolist()}, indent=2)
+
+    @pytest.mark.parametrize("cov,symmetric", [
+        # 0.0 == -0.0, but the two reprs differ, so this one is written in full
+        (np.array([[1.0, 0.0], [-0.0, 1.0]]), False),
+        (np.array([[1.0, -0.0], [-0.0, 1.0]]), True),
+        (np.array([[1.0, np.nan, np.inf], [np.nan, 2.0, -np.inf],
+                   [np.inf, -np.inf, 3.0]]), True),
+        (np.array([[[np.nan]], [[-np.inf]], [[-0.0]]]), True),       # 1 x 1 trailing axes
+        (np.full((1, 1), 2.5), True),
+        (np.zeros((0, 3, 3)), True),
+        (np.zeros((2, 0, 0)), True),
+        (np.arange(9.0).reshape(3, 3), False),
+    ], ids=["zero-and-negative-zero", "negative-zeros", "nan-and-inf-off-diagonal",
+            "1x1-trailing-axes", "1x1", "empty-stack", "empty-matrices", "not-symmetric"])
+    def test_special_stacks(self, cov, symmetric):
+        assert explain._symmetric(cov) == symmetric
+        doc = {"cov": cov, "means": np.ones((len(cov), 2))}
         assert explain.dumps(doc) == json.dumps(tolisted(doc), indent=2, sort_keys=True)

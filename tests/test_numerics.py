@@ -6,6 +6,8 @@ import pytest
 from ssvkit import kernels, numerics
 from ssvkit.errors import JitterExceeded
 
+from conftest import run_python
+
 
 class TestCholeskyPsd:
     def test_identity_needs_no_jitter(self):
@@ -32,15 +34,13 @@ class TestCholeskyPsd:
     def test_non_numerical_failure_is_not_retried(self, monkeypatch):
         # only a positive dpotrf info climbs the jitter ladder; anything
         # else surfaces on the first attempt
-        import scipy.linalg
-
         calls = []
 
         def out_of_memory(*args, **kwargs):
             calls.append(args)
             raise MemoryError
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", out_of_memory)
+        monkeypatch.setattr(numerics.lapack, "dpotrf", out_of_memory)
         with pytest.raises(MemoryError):
             numerics.cholesky_psd(np.eye(3))
         assert len(calls) == 1
@@ -70,19 +70,58 @@ class TestCholeskyPsd:
         np.testing.assert_array_equal(m, before)
 
     def test_first_attempt_factors_the_input_as_given(self, monkeypatch):
-        import scipy.linalg
-
         seen = []
-        original = scipy.linalg.lapack.dpotrf
+        original = numerics.lapack.dpotrf
 
         def spy(a, *args, **kwargs):
             seen.append(a)
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
+        monkeypatch.setattr(numerics.lapack, "dpotrf", spy)
         m = 2.0 * np.eye(3)
         numerics.cholesky_psd(m)
         assert len(seen) == 1 and seen[0] is m
+
+
+class TestCompiledLinalg:
+    """``numerics.blas``/``lapack`` are the modules behind ``scipy.linalg.blas``
+    and ``lapack``, whether ``scipy.linalg`` is imported before ssvkit or after,
+    and when their files are not found and they are imported by name."""
+
+    SCRIPT = """
+import importlib.machinery
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+if sys.argv[1] == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES = []     # numerics finds no file
+from ssvkit import numerics
+assert ("scipy.linalg" in sys.modules) == (sys.argv[1] != "after")
+from scipy.linalg import blas, lapack
+rng = np.random.default_rng(0)
+a, b = rng.normal(size=(7, 7)), rng.normal(size=(7, 3))
+m = a @ a.T + np.eye(7)
+L = lapack.dpotrf(m, lower=1, clean=1)[0]
+calls = [(lapack, numerics.lapack, "dpotrf", (m,), dict(lower=1, clean=1)),
+         (blas, numerics.blas, "dtrsm", (1.0, L, b), dict(lower=1, trans_a=1)),
+         (blas, numerics.blas, "dgemm", (1.0, a, b), {})]
+for theirs, ours, name, args, kwargs in calls:
+    got, want = (getattr(module, name)(*args, **kwargs) for module in (ours, theirs))
+    if name == "dpotrf":                                # (factor, info)
+        (got, got_info), (want, want_info) = got, want
+        assert got_info == want_info == 0
+    print(name, getattr(ours, name) is getattr(theirs, name), got.tobytes() == want.tobytes())
+print(numerics.blas is sys.modules["scipy.linalg._fblas"],
+      numerics.lapack is sys.modules["scipy.linalg._flapack"])
+"""
+
+    @pytest.mark.parametrize("order", ["before", "after", "fallback"])
+    def test_same_routines_and_results_as_scipy_linalg(self, tmp_path, order):
+        res = run_python(["-c", self.SCRIPT, order], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split("\n") == ["dpotrf True True", "dtrsm True True",
+                                          "dgemm True True", "True True", ""]
 
 
 def kernel_gram(repeat=False):
@@ -102,16 +141,14 @@ class TestShift:
 
     @staticmethod
     def spy(monkeypatch):
-        import scipy.linalg
-
         seen = []
-        original = scipy.linalg.lapack.dpotrf
+        original = numerics.lapack.dpotrf
 
         def recorded(a, *args, **kwargs):
             seen.append((a, a.copy(), kwargs))
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recorded)
+        monkeypatch.setattr(numerics.lapack, "dpotrf", recorded)
         return seen
 
     # (gram, shift, jitter the factorization needs); -1e-16 rounds differently

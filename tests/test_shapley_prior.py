@@ -53,6 +53,24 @@ class TestKappa:
 
 
 class TestFitPredict:
+    def test_cov_root_is_scipys_triangular_solve_bit_for_bit(self, rng, monkeypatch):
+        from scipy.linalg import solve_triangular
+
+        factors = []
+        original = numerics.cholesky_psd
+
+        def recorded(*args, **kwargs):
+            factors.append(original(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(numerics, "cholesky_psd", recorded)
+        noise = 1e-2
+        model, _ = small_model(rng, n=12, d=3, noise=noise)
+        weight_factor = factors[-1]                 # the fit's last factorization
+        want = np.sqrt(noise) * solve_triangular(
+            weight_factor.lower, model.anchor_factor.lower.T, lower=True).T
+        assert model.cov_root.tobytes() == want.tobytes()
+
     def test_interpolates_prior_samples_with_small_noise(self, rng):
         # explanations drawn from the prior's own range are recovered almost
         # exactly as noise shrinks (the kernel has rank at most n_anchors * d,
