@@ -9,6 +9,7 @@ correlation matrices and a partial-correlation graphical model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,8 @@ def folded_mean(mu: float | np.ndarray, sigma: float | np.ndarray) -> float | np
     """Mean of |N(mu, sigma^2)|, elementwise; reduces to |mu| where sigma == 0.
 
     Scalar inputs give a float, arrays an array of their broadcast shape.
+    The normal CDF is ``numerics.ndtr``, scipy.special's compiled ufunc.
     """
-    from scipy.special import ndtr  # not at module import: it slows every command's start
-
     mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))
     if np.any(sigma < 0):
         raise ValueError("sigma must be non-negative")
@@ -45,7 +45,7 @@ def folded_mean(mu: float | np.ndarray, sigma: float | np.ndarray) -> float | np
         # past |mu| = 38 sigma the first term is below half an ulp of the second,
         # and mu^2 / (2 sigma^2) overflows once sigma^2 is denormal: skip it
         spread[mu_sq > 750.0 * two_var] = 0.0
-        out = sigma * np.sqrt(2.0 / np.pi) * spread + mu * (1.0 - 2.0 * ndtr(-mu / sigma))
+        out = sigma * np.sqrt(2.0 / np.pi) * spread + mu * (1.0 - 2.0 * numerics.ndtr(-mu / sigma))
     out = np.where(sigma == 0.0, np.abs(mu), out)
     return float(out) if out.ndim == 0 else out
 
@@ -125,12 +125,25 @@ def precision_graph(cov: np.ndarray, sparsity: float = 0.9) -> list[tuple[int, i
     mags = np.abs(rho[iu])
     if mags.size == 0:
         return []
-    cutoff = float(np.quantile(mags, sparsity))
+    cutoff = _quantile(mags, sparsity)
     edges = []
     for i, j, r in zip(iu[0], iu[1], rho[iu]):
         if abs(r) > 0.0 and abs(r) >= cutoff:
             edges.append((int(i), int(j), float(r)))
     return edges
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit (its "linear" method) for a non-empty
+    1-D float array and 0 <= q <= 1, without np.quantile's import of numpy.ma."""
+    s = np.sort(values)
+    virtual = (s.size - 1) * q
+    lo = math.floor(virtual)
+    # past the last index numpy interpolates the maximum with itself
+    lo, hi = (lo, lo + 1) if lo < s.size - 1 else (-1, -1)
+    a, b, t = s[lo], s[hi], virtual - lo
+    out = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return float(s[-1] if np.isnan(s[-1]) else out)     # a NaN sorts last
 
 
 def beeswarm_export(means: np.ndarray, sds: np.ndarray,

@@ -32,6 +32,13 @@ from .coalition import CoalitionDesign
 from .gp import GPPosterior
 
 
+# entries from which a symmetric stack's mirrored text beats formatting every
+# entry: its index map and object array cost a fixed ~20 us.  Best of 2,001
+# calls, mirrored against plain: 3x3 31 vs 7 us, 10x10 65 vs 58 us, 12x12
+# 79 vs 82 us, 16x16 117 vs 138 us, (8, 6, 6) 153 vs 158 us
+MIRROR_MIN_ENTRIES = 256
+
+
 @dataclass(frozen=True)
 class BayesConfig:
     """Prior hyperparameters and seed for the Bayesian WLS noise scale."""
@@ -239,9 +246,10 @@ def dumps(doc: dict) -> str:
     and k ``str.replace`` passes, longest token first: a number's text holds
     no bracket and no ", ", so only the lists at depth i separate their items
     by ``"]" * (k-1-i) + ", " + "[" * (k-1-i)``.  A stack of square matrices
-    each equal to its transpose bit for bit (a covariance) formats only its
-    upper triangles and mirrors their text.  Any other value (empty and 0-d
-    arrays too) is ``json.dumps(value, indent=2)``, re-indented.
+    each equal to its transpose bit for bit (a covariance) of at least
+    ``MIRROR_MIN_ENTRIES`` entries formats only its upper triangles and
+    mirrors their text.  Any other value (empty and 0-d arrays too) is
+    ``json.dumps(value, indent=2)``, re-indented.
     """
     return _dumps(doc, 0)
 
@@ -289,7 +297,8 @@ def _dumps(value, level: int) -> str:
     ind = [pad + "  " * q for q in range(k + 1)]         # the indent of depth q
     opens = ["".join("[" + ind[q + 1] for q in range(lo, k)) for lo in range(k + 1)]
     closes = ["".join(ind[q] + "]" for q in range(k - 1, lo - 1, -1)) for lo in range(k + 1)]
-    text = _mirrored_text(value) if _symmetric(value) else json.dumps(value.tolist())
+    mirror = value.size >= MIRROR_MIN_ENTRIES and _symmetric(value)
+    text = _mirrored_text(value) if mirror else json.dumps(value.tolist())
     body = text[k:-k]
     for i in range(k):
         body = body.replace("]" * (k - 1 - i) + ", " + "[" * (k - 1 - i),
@@ -299,10 +308,9 @@ def _dumps(value, level: int) -> str:
 
 def credible_intervals(means: np.ndarray, sds: np.ndarray,
                        level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
-    """Central Gaussian credible intervals means +- z * sds, per entry."""
+    """Central Gaussian credible intervals means +- z * sds, per entry, where
+    z = ``numerics.ndtri((1 + level) / 2)``, scipy.special's ``ndtri`` bit for bit."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    from scipy.special import ndtri  # not at module import: it slows every command's start
-
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = numerics.ndtri(0.5 * (1.0 + level))
     return means - z * sds, means + z * sds

@@ -162,6 +162,7 @@ def median_heuristic(X: np.ndarray) -> np.ndarray:
         X = X[np.arange(MEDIAN_MAX_ROWS) * n // MEDIAN_MAX_ROWS]
         n = MEDIAN_MAX_ROWS
     diffs = np.empty(n * (n - 1) // 2)
+    lo, hi = (diffs.size - 1) // 2, diffs.size // 2       # the middle rank(s)
     out = np.empty(d)
     for u in range(d):
         xs = np.sort(X[:, u])
@@ -169,6 +170,9 @@ def median_heuristic(X: np.ndarray) -> np.ndarray:
         for k in range(1, n):
             np.subtract(xs[k:], xs[:-k], out=diffs[pos:pos + n - k])
             pos += n - k
-        med = float(np.median(diffs, overwrite_input=True))
-        out[u] = med if med > 0.0 else 1.0
+        # np.median's selection without its NaN check, which imports numpy.ma:
+        # the middle rank(s), and the last, where a NaN sorts
+        diffs.partition([lo, hi, diffs.size - 1])
+        med = float(diffs[hi] if lo == hi else (diffs[lo] + diffs[hi]) / 2.0)
+        out[u] = med if med > 0.0 and not np.isnan(diffs[-1]) else 1.0
     return out

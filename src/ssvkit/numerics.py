@@ -19,13 +19,19 @@ per solve at m = 200.  The rhs is never copied past its one row-major copy.
 
 ``blas`` and ``lapack`` are scipy's f2py modules ``scipy.linalg._fblas`` and
 ``_flapack``, whose Fortran routines ``scipy.linalg.blas`` and ``lapack``
-re-export; ``_compiled_linalg`` loads them without ``scipy.linalg``'s package
-init, which is about half of every command's start-up.
+re-export; ``_compiled_module`` loads them without ``scipy.linalg``'s package
+init, which is about half of every command's start-up.  The normal CDF
+``ndtr`` is scipy.special's own ufunc, loaded the same way from
+``scipy.special._special_ufuncs`` on its first use, and the quantile
+``ndtri`` is a port of the Cephes routine that scipy compiles into
+``_ufuncs`` (a module that cannot be loaded alone), so no command pays for
+``scipy.special``'s init.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -44,33 +50,98 @@ DEFAULT_MAX_JITTER = 1e-4
 _SOLVE_LEAF = 96
 
 
-def _compiled_linalg():
-    """scipy.linalg's ``_fblas`` and ``_flapack``, loaded from their files.
+def _compiled_module(package: str, name: str):
+    """scipy's compiled module ``package.name``, loaded from its file.
 
-    The package init imports ``numpy.testing``, ``numpy.f2py``,
-    ``numpy.random`` and ``numpy.ma``; ``find_spec`` runs only the ``scipy``
-    top package's.  Each module is registered in ``sys.modules`` under its
-    name, so a later ``import scipy.linalg`` reuses it (and one loaded
-    before is reused here).  Without the files (an unusual scipy layout) the
-    modules are imported by name, through the package init.
+    ``find_spec`` runs only the ``scipy`` top package's init, not
+    ``package``'s: scipy.linalg's imports ``numpy.testing``, ``numpy.f2py``,
+    ``numpy.random`` and ``numpy.ma``, and scipy.special's runs scipy's
+    array-API init too.  The module is registered in ``sys.modules`` under
+    its name, so a later ``import package`` reuses it (and one loaded before
+    is reused here).  Without the file (an unusual scipy layout) the module
+    is imported by name, through the package init.
     """
-    folder = importlib.util.find_spec("scipy.linalg").submodule_search_locations[0]
-    finder = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    specs = [finder.find_spec(f"scipy.linalg.{name}") for name in ("_fblas", "_flapack")]
-    if None in specs:
-        from scipy.linalg import _fblas, _flapack
-        return _fblas, _flapack
-    modules = []
-    for spec in specs:
-        if spec.name not in sys.modules:
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[spec.name] = module
-            spec.loader.exec_module(module)
-        modules.append(sys.modules[spec.name])
-    return modules
+    qualified = f"{package}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    folder = importlib.util.find_spec(package).submodule_search_locations[0]
+    spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(qualified)
+    if spec is None:
+        return importlib.import_module(qualified)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualified] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-blas, lapack = _compiled_linalg()
+blas = _compiled_module("scipy.linalg", "_fblas")
+lapack = _compiled_module("scipy.linalg", "_flapack")
+
+
+def __getattr__(name: str):
+    # ndtr, scipy.special's own ufunc, is loaded on its first use: importing
+    # the package pays nothing for it
+    if name == "ndtr":
+        global ndtr
+        ndtr = _compiled_module("scipy.special", "_special_ufuncs").ndtr
+        return ndtr
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# Cephes' ndtri (Moshier), as scipy compiles it: rational approximations in
+# (p - 1/2)^2 for exp(-2) < p < 1 - exp(-2), else in z = 1/sqrt(-2 log y), y
+# the smaller tail, one above y = exp(-32) and one below; leading 1s of Q added
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+
+
+def _polevl(x: float, coefs: tuple) -> float:
+    """Horner's rule, highest power first."""
+    out = 0.0
+    for c in coefs:
+        out = out * x + c
+    return out
+
+
+def ndtri(p: float) -> float:
+    """The standard normal quantile: ``scipy.special.ndtri(p)`` bit for bit, as a float.
+
+    0 and 1 give -inf and inf; p outside [0, 1] (or NaN) gives NaN.
+    """
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if not 0.0 < p < 1.0:
+        return math.nan
+    upper = p > 1.0 - _EXP_MINUS_2
+    y = 1.0 - p if upper else p
+    if y > _EXP_MINUS_2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * 2.50662827463100050242          # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    P, Q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _polevl(z, P) / _polevl(z, Q)
+    return x if upper else -x
 
 
 @dataclass(frozen=True)

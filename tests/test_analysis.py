@@ -234,6 +234,28 @@ class TestPrecisionGraph:
         assert analysis.precision_graph(np.array([[2.0]])) == []
 
 
+class TestQuantile:
+    """``analysis._quantile`` is ``np.quantile``'s default method bit for bit."""
+
+    def test_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        levels = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0]
+        for k in range(3000):
+            n = int(rng.integers(1, 50))
+            v = np.abs(rng.standard_cauchy(size=n))
+            if k % 3 == 0:
+                v = np.round(v, 1)                  # ties
+            if k % 7 == 0:
+                v[rng.integers(n)] = np.inf
+            if k % 11 == 0:
+                v[rng.integers(n)] = np.nan
+            for q in [*levels, float(rng.uniform())]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf
+                    want, got = np.quantile(v, q), analysis._quantile(v, q)
+                assert np.float64(got).tobytes() == want.tobytes(), (v, q)
+
+
 class TestBeeswarmExport:
     def test_rows_and_quantiles(self, batch, rng):
         X = rng.normal(size=(8, 4))

@@ -256,7 +256,9 @@ class TestCredibleIntervalsAndExport:
         post, data, design = setup
         batch = explain.bayesgpshap(post, design, data.X[:3])
         sds = batch.stds()
-        for level in np.r_[np.linspace(0.001, 0.999, 37), 0.5, 0.9, 0.95, 0.99, 1 - 1e-12]:
+        # the last level is the largest below 1: (1 + level) / 2 rounds to 1, z is inf
+        for level in np.r_[np.linspace(0.001, 0.999, 37), 0.5, 0.9, 0.95, 0.99, 1 - 1e-12,
+                           np.nextafter(1.0, 0.0)]:
             z = float(stats.norm.ppf(0.5 * (1.0 + level)))
             lo, hi = explain.credible_intervals(batch.means, sds, level)
             np.testing.assert_array_equal(lo, batch.means - z * sds)
@@ -441,6 +443,8 @@ class TestDumps:
     def test_symmetric_stacks_equal_the_stdlib_indent_encoder(self, cov):
         assert explain._symmetric(cov)
         assert explain.dumps({"cov": cov}) == json.dumps({"cov": cov.tolist()}, indent=2)
+        if cov.size:    # these are below dumps' size cut: call the mirror itself
+            assert explain._mirrored_text(cov) == json.dumps(cov.tolist())
 
     @pytest.mark.parametrize("cov,symmetric", [
         # 0.0 == -0.0, but the two reprs differ, so this one is written in full
@@ -459,3 +463,20 @@ class TestDumps:
         assert explain._symmetric(cov) == symmetric
         doc = {"cov": cov, "means": np.ones((len(cov), 2))}
         assert explain.dumps(doc) == json.dumps(tolisted(doc), indent=2, sort_keys=True)
+        if symmetric and cov.size:
+            assert explain._mirrored_text(cov) == json.dumps(cov.tolist())
+
+    @pytest.mark.parametrize("shape", [(15, 15), (16, 16), (7, 6, 6), (8, 6, 6)])
+    def test_mirrors_only_from_the_size_cut(self, monkeypatch, shape):
+        # 225 and 252 entries are formatted in full, 256 and 288 mirrored
+        cov = mirrored(np.random.default_rng(2).normal(size=shape))
+        mirrored_shapes = []
+        original = explain._mirrored_text
+
+        def spy(value):
+            mirrored_shapes.append(value.shape)
+            return original(value)
+
+        monkeypatch.setattr(explain, "_mirrored_text", spy)
+        assert explain.dumps({"cov": cov}) == json.dumps({"cov": cov.tolist()}, indent=2)
+        assert mirrored_shapes == ([shape] if cov.size >= explain.MIRROR_MIN_ENTRIES else [])

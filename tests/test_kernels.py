@@ -273,6 +273,13 @@ class TestMedianHeuristic:
             X[:, 3] = -1.25                         # constant column
             np.testing.assert_array_equal(median_heuristic(X), self._pairwise_median(X))
 
+    def test_a_nan_column_falls_back_as_with_np_median(self):
+        # np.median returns NaN for it, which is not above 0
+        X = np.random.default_rng(9).normal(size=(9, 2))
+        X[4, 1] = np.nan
+        assert median_heuristic(X)[1] == 1.0
+        np.testing.assert_array_equal(median_heuristic(X), self._pairwise_median(X))
+
     def test_memory_is_one_buffer_of_pairs(self):
         import tracemalloc
 

@@ -124,6 +124,60 @@ print(numerics.blas is sys.modules["scipy.linalg._fblas"],
                                           "dgemm True True", "True True", ""]
 
 
+class TestCompiledSpecial:
+    """``numerics.ndtr`` is ``scipy.special.ndtr``, loaded on first use from its
+    own compiled module, whether ``scipy.special`` is imported before ssvkit or
+    after, and when the file is not found and it is imported by name."""
+
+    SCRIPT = """
+import importlib.machinery
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.special
+if sys.argv[1] == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES = []     # numerics finds no file
+from ssvkit import numerics
+x = np.r_[np.random.default_rng(0).normal(scale=10.0, size=1000),
+          0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 1e-300]
+got = numerics.ndtr(x)
+assert ("scipy.special" in sys.modules) == (sys.argv[1] != "after")
+import scipy.special
+import scipy.stats
+print(numerics.ndtr is scipy.special.ndtr, got.tobytes() == scipy.special.ndtr(x).tobytes())
+print(numerics.ndtr is sys.modules["scipy.special._special_ufuncs"].ndtr,
+      scipy.stats.norm.ppf(0.975) == scipy.special.ndtri(0.975) == numerics.ndtri(0.975))
+"""
+
+    @pytest.mark.parametrize("order", ["before", "after", "fallback"])
+    def test_same_ufunc_and_results_as_scipy_special(self, tmp_path, order):
+        res = run_python(["-c", self.SCRIPT, order], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split("\n") == ["True True", "True True", ""]
+
+
+class TestNdtri:
+    def test_equals_scipy_bit_for_bit(self):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(11)
+        levels = np.arange(1, 1000) / 1000
+        p = np.concatenate([
+            rng.uniform(size=100_000),
+            10.0 ** -rng.uniform(0, 300, size=100_000),         # the lower tail
+            1.0 - 10.0 ** -rng.uniform(1, 16, size=100_000),    # the upper tail
+            levels, 0.5 * (1.0 + levels),                       # credible levels and their p
+            [0.5, 0.975, 1e-300, 5e-324, np.nextafter(1.0, 0.0), 0.0, 1.0]])
+        got = [numerics.ndtri(float(q)) for q in p]
+        assert all(type(z) is float for z in got)
+        bad = np.flatnonzero(np.array(got).view(np.int64) != ndtri(p).view(np.int64))
+        assert bad.size == 0, (p[bad[:5]], np.array(got)[bad[:5]])
+
+    @pytest.mark.parametrize("p", [-0.5, 1.5, np.nan, -np.inf])
+    def test_outside_the_unit_interval_is_nan(self, p):
+        assert np.isnan(numerics.ndtri(p))
+
+
 def kernel_gram(repeat=False):
     """A 12 x 12 RBF gram whose two triangles differ in the last bits; with
     ``repeat`` its rows come in equal pairs, so it is singular."""
