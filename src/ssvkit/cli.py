@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import analysis, coalition, explain, gp, kernels, numerics, shapley_prior
-from .errors import CountOutOfRange, SingularSystem, SsvkitError
+from .errors import SingularSystem, SsvkitError
 
 
 class _Main(click.Group):
@@ -58,14 +58,12 @@ def _read_csv_matrix(path: str, target: str | None = None, text: str | None = No
     if len(rows) < 2:
         raise ValueError(f"{path} has a header but no data rows")
     header = rows[0]
-    t_idx = None
     if target is not None:
         if target not in header:
             raise ValueError(f"target column {target!r} not found in {path}")
-        t_idx = header.index(target)
         if len(header) == 1:
             raise ValueError(f"{path} has no feature column besides the target {target!r}")
-    data, y = [], []
+    data = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             where = (f"column {header[len(row)]!r} is missing" if len(row) < len(header)
@@ -82,14 +80,13 @@ def _read_csv_matrix(path: str, target: str | None = None, text: str | None = No
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value {cell!r} at row {r}, "
                                  f"column {header[c]!r} in {path}")
-            if c == t_idx:
-                y.append(v)
-            else:
-                vals.append(v)
+            vals.append(v)
         data.append(vals)
-    feat_names = [h for i, h in enumerate(header) if i != t_idx]
-    X = np.asarray(data, dtype=float)
-    return feat_names, X, (np.asarray(y) if target is not None else None)
+    M = np.asarray(data, dtype=float)
+    if target is None:
+        return header, M, None
+    t = header.index(target)        # y is copied: a strided y could reorder np.var's sum
+    return header[:t] + header[t + 1:], np.delete(M, t, axis=1), M[:, t].copy()
 
 
 def _write(path: str, text: str):
@@ -101,11 +98,11 @@ def _write(path: str, text: str):
 
 
 @contextmanager
-def _naming(option: str, value, errors=(ValueError, SingularSystem)):
-    """Prefix an error of ``errors`` raised inside with ``option value: ``."""
+def _naming(option: str, value):
+    """Prefix an input or singular-system error raised inside with ``option value: ``."""
     try:
         yield
-    except errors as exc:                           # same type, so the same exit code
+    except (ValueError, SingularSystem) as exc:     # same type, so the same exit code
         raise type(exc)(f"{option} {value}: {exc}") from None
 
 
@@ -122,15 +119,7 @@ def _credible_level(ctx, param, value):
     return value
 
 
-def _non_negative_seed(ctx, param, value):
-    """Click callback: a seed must be a non-negative integer."""
-    if value < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {value}")
-    return value
-
-
-_seed_option = click.option("--seed", type=int, default=0, show_default=True,
-                            callback=_non_negative_seed)
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 
 
 def _design(d: int, coalitions: str, seed: int) -> coalition.CoalitionDesign:
@@ -149,7 +138,7 @@ def main():
 @main.command("fit")
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--target", required=True, help="Name of the target column.")
-@click.option("--inducing", type=int, default=None,
+@click.option("--inducing", type=click.IntRange(min=1), default=None,
               help="Number of inducing rows (omitted or at least the row count: all).")
 @click.option("--strategy", type=click.Choice(["uniform", "farthest_point"]),
               default="farthest_point", show_default=True)
@@ -164,8 +153,7 @@ def cmd_fit(data_path, target, inducing, strategy, ls_multipliers, noise_fractio
     """Fit an exact GP to a CSV dataset and store its inducing-set posterior."""
     _, X, y = _read_csv_matrix(data_path, target)
     data = gp.Dataset(X=X, y=y)
-    with _naming("--inducing", inducing, CountOutOfRange):     # only the row count's error
-        posterior, ll = gp.fit(data, inducing, strategy, seed, ls_multipliers, noise_fractions)
+    posterior, ll = gp.fit(data, inducing, strategy, seed, ls_multipliers, noise_fractions)
     _write(output, posterior.to_json() + "\n")
     lengthscales = ", ".join(f"{v:.6g}" for v in posterior.kernel.lengthscales)
     click.echo(f"n={data.n} d={data.d} n_inducing={posterior.n_inducing} "
@@ -302,7 +290,7 @@ def _load_explanations(path: str, need: str):
 @main.command("predict-explain")
 @click.option("--explanations", "expl_path", required=True, type=click.Path())
 @click.option("--instances", "instances_path", required=True, type=click.Path())
-@click.option("--anchors", type=int, default=50, show_default=True,
+@click.option("--anchors", type=click.IntRange(min=1), default=50, show_default=True,
               help="Farthest-point anchor count for the explanation kernel.")
 @click.option("--coalitions", default="full", show_default=True)
 @click.option("--lam", type=float, default=None,
@@ -321,8 +309,7 @@ def cmd_predict_explain(expl_path, instances_path, anchors, coalitions, lam, noi
                          f"explanations have {X.shape[1]}")
     design = _design(X.shape[1], coalitions, seed)
     data = shapley_prior.ExplanationDataset(X=X, Phi=Phi)
-    with _naming("--anchors", anchors, CountOutOfRange):
-        anchor_pts = shapley_prior.farthest_point_anchors(X, anchors)
+    anchor_pts = shapley_prior.farthest_point_anchors(X, anchors)
     params = kernels.KernelParams(variance=1.0, lengthscales=kernels.median_heuristic(X))
     model = shapley_prior.fit(data, anchor_pts, params, design, lam, noise)
     means, covs = shapley_prior.predict_batch(model, X_new)

@@ -81,6 +81,7 @@ class GPPosterior:
             raise ValueError("posterior contains non-finite entries")
         if np.max(np.abs(cov - cov.T)) > 1e-8 * np.max(np.abs(cov)):
             raise ValueError("posterior covariance is not symmetric")
+        _require_noise(self.noise)
 
     @property
     def n_inducing(self) -> int:

@@ -266,12 +266,7 @@ def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER, *,
 def solve_regularized(m: np.ndarray, lam: float, rhs: np.ndarray,
                       max_jitter: float = DEFAULT_MAX_JITTER) -> np.ndarray:
     """Solve (m + lam*I) x = rhs through the jittered Cholesky path."""
-    m = np.asarray(m, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != m.shape[0]:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {m.shape[0]}")
-    factor = cholesky_psd(m, max_jitter=max_jitter, shift=lam)
-    return factor.solve(rhs)
+    return cholesky_psd(m, max_jitter=max_jitter, shift=lam).solve(rhs)
 
 
 def is_psd(m: np.ndarray, tol_jitter: float = 1e-8) -> bool:

@@ -103,12 +103,9 @@ def fit(data: ExplanationDataset, anchors: np.ndarray, kernel: KernelParams,
     y = data.Phi.reshape(-1)
     weight_factor = numerics.cholesky_psd(G.T @ G, shift=noise)
     weight_mean = weight_factor.solve(G.T @ y)
-    # R^-1 L^T by the dtrtrs call scipy's solve_triangular makes for a
-    # Fortran-ordered lower factor
-    solved, info = numerics.lapack.dtrtrs(weight_factor.lower, L.T, lower=1)
-    if info != 0:
-        raise ValueError(f"dtrtrs failed with info {info}")
-    cov_root = np.sqrt(noise) * solved.T
+    # R^-1 L^T by the dtrsm that LAPACK's dtrtrs (scipy's solve_triangular)
+    # calls once it finds no zero on R's diagonal, which cholesky_psd rules out
+    cov_root = np.sqrt(noise) * numerics.blas.dtrsm(1.0, weight_factor.lower, L.T, lower=1).T
     return ShapleyPriorModel(embedding=embedding, anchor_factor=anchor_factor,
                              mean_map=L @ weight_mean, cov_root=cov_root)
 

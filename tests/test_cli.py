@@ -123,6 +123,21 @@ class TestFit:
         train = np.loadtxt(workdir / "train.csv", delimiter=",", skiprows=1)[:, :3]
         np.testing.assert_array_equal(json.loads(omitted)["inducing_points"], train)
 
+    def test_target_position_does_not_change_the_fit(self, workdir):
+        # the target first, in the middle and last leaves the features in one order
+        rows = list(csv.reader((workdir / "train.csv").read_text().splitlines()))
+        outputs = []
+        for t in (0, 2, 3):
+            moved = [row[:3] for row in rows]
+            for row, full in zip(moved, rows):
+                row.insert(t, full[3])
+            (workdir / f"t{t}.csv").write_text("\n".join(map(",".join, moved)) + "\n")
+            res = run_cli(["fit", "--data", f"t{t}.csv", "--target", "target",
+                           "--inducing", "25", "-o", f"t{t}.json"], workdir)
+            assert res.returncode == 0, res.stderr
+            outputs.append((res.stdout, (workdir / f"t{t}.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_uniform_strategy_keeps_the_count(self, workdir):
         res = run_cli(["fit", "--data", "train.csv", "--target", "target", "--inducing", "10",
                        "--strategy", "uniform", "--seed", "3", "-o", "uniform.json"], workdir)
@@ -411,7 +426,7 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("files,args,where", [
         ({}, ["fit", "--data", "train.csv", "--target", "target", "--inducing", "0"],
-         "count must be in [1, 40]"),
+         "Invalid value for '--inducing': 0 is not in the range x>=1."),
         ({"bad.csv": "a,b,t\n1.0,2.0,3.0\n"}, ["fit", "--data", "bad.csv", "--target", "t"],
          "at least two points"),
         ({"y_only.csv": "y\n1.0\n2.0\n3.0\n"}, ["fit", "--data", "y_only.csv", "--target", "y"],
@@ -453,8 +468,10 @@ class TestInputBoundary:
         ({"bad.csv": "x_a,phi_1\n0.0,0.0\n1.0,1.0\n"}, PREDICT, "'x_a'"),
         ({"bad.csv": "x_1,phi_1,note\n0.0,0.0,first\n1.0,1.0,second\n"}, PREDICT, "'note'"),
         ({"bad.csv": '{"X": [0.0, 1.0], "means": [[0.0], [1.0]]}'}, PREDICT, "'X'"),
-        ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "0"], "anchor count"),
-        ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "-3"], "anchor count"),
+        ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "0"],
+         "Invalid value for '--anchors': 0 is not in the range x>=1."),
+        ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "-3"],
+         "Invalid value for '--anchors': -3 is not in the range x>=1."),
         ({"bad.csv": THREE_ROWS}, PREDICT + ["--noise", "inf"],
          "noise must be positive and finite, got inf"),
         ({"bad.csv": THREE_ROWS}, PREDICT + ["--noise", "nan"],
@@ -470,7 +487,7 @@ class TestInputBoundary:
         ({}, ["fit", "--data", "train.csv", "--target", "target",
               "--noise-fractions", "1e-2,x"], "--noise-fractions 1e-2,x: "),
         ({}, ["fit", "--data", "train.csv", "--target", "target", "--inducing", "-3"],
-         "--inducing -3: count must be in [1, 40], got -3"),
+         "Invalid value for '--inducing': -3 is not in the range x>=1."),
     ], ids=["fit-inducing-0", "fit-one-row", "fit-no-features", "fit-target-variance-overflows",
             "lam-negative", "lam-0", "lam-nan",
             "ell0-nan", "ell0-sigma0-negative", "ell0-below-minus-ell", "sigma0-inf",
@@ -503,8 +520,14 @@ class TestInputBoundary:
         ({}, ["analyze", "--explanations", "expl.json", "--sparsity", "1.5"],
          "error: --sparsity 1.5: sparsity must lie in [0, 1)\n"),
         ({"bad.csv": THREE_ROWS}, PREDICT + ["--anchors", "0"],
-         "error: --anchors 0: anchor count must be at least 1, got 0\n"),
-    ], ids=["sparsity", "anchors"])
+         "error: Invalid value for '--anchors': 0 is not in the range x>=1.\n"),
+        # a count is checked before any file is read
+        ({}, ["fit", "--data", "missing.csv", "--target", "y", "--inducing", "0"],
+         "error: Invalid value for '--inducing': 0 is not in the range x>=1.\n"),
+        ({}, ["predict-explain", "--explanations", "missing.json", "--instances", "missing.csv",
+              "--anchors", "0"],
+         "error: Invalid value for '--anchors': 0 is not in the range x>=1.\n"),
+    ], ids=["sparsity", "anchors", "inducing-missing-file", "anchors-missing-file"])
     def test_range_error_names_its_option(self, explained, tmp_path, files, args, line):
         res = self.run_bad(explained, tmp_path, files, args)
         assert (res.returncode, res.stderr) == (2, line)
@@ -519,6 +542,17 @@ class TestInputBoundary:
                        "--instances", str(explained / "instances.csv")], tmp_path)
         assert_one_line_input_error(res)
         assert "bad.json" in res.stderr and "positive semi-definite" in res.stderr
+
+    @pytest.mark.parametrize("noise", [-1.0, 0.0, float("nan")], ids=["negative", "0", "nan"])
+    def test_posterior_noise_not_positive_exits_2(self, explained, tmp_path, noise):
+        doc = json.loads((explained / "posterior.json").read_text())
+        doc["noise"] = noise
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        res = run_cli(["explain", "--posterior", "bad.json",
+                       "--instances", str(explained / "instances.csv")], tmp_path)
+        assert_one_line_input_error(res)
+        assert (f"cannot load posterior from bad.json: noise must be positive and finite, "
+                f"got {noise!r}") in res.stderr
 
     def test_posterior_kernel_not_an_object_exits_2(self, explained, tmp_path):
         doc = json.loads((explained / "posterior.json").read_text())

@@ -222,6 +222,7 @@ class TestPosteriorValidation:
         {"cov_at_inducing": np.diag([1.0, np.nan, 1.0])},       # not finite
         {"mean_at_inducing": np.array([0.0, np.inf, 0.0])},
         {"cov_at_inducing": np.eye(3) + np.triu(np.full((3, 3), 1e-6), 1)},  # asymmetric
+        {"noise": 0.0}, {"noise": -1.0}, {"noise": np.nan}, {"noise": np.inf},
     ])
     def test_malformed_posterior_is_rejected(self, post, fields):
         with pytest.raises(ValueError):
