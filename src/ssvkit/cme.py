@@ -22,7 +22,9 @@ read it:
 Both sides of every solve, the grams K_S(rows, rows) that are factored and
 the right-hand sides k_S(rows, X), come from ``kernels.grams``: one stacked
 product per run of equal-size masks (at most ``STACK_ENTRIES`` entries),
-while each coalition is still factored and solved on its own.
+while each coalition is still factored and solved on its own.  The
+right-hand sides are written into the streamed block itself and solved
+there in place.
 
 ``CoalitionEmbedding`` keeps the factors, for callers that map batches
 again and again (the Shapley prior).  ``projected_batch`` and
@@ -58,16 +60,15 @@ CHUNK_ENTRIES = 1 << 20
 STACK_ENTRIES = CHUNK_ENTRIES // 8
 
 
-def _coalition_grams(kernel: KernelParams, masks: np.ndarray, A: np.ndarray,
-                     B: np.ndarray) -> Iterator[np.ndarray]:
-    """``kernels.gram(kernel, mask, A, B)`` for each mask in turn, each run of
-    equal-size masks (contiguous: a design sorts its masks by size) built in
-    ``kernels.grams`` stacks of at most ``STACK_ENTRIES`` entries."""
-    step = max(1, STACK_ENTRIES // max(A.shape[0] * B.shape[0], 1))
+def _stacks(masks: Iterable[int], entries: int) -> Iterator[list[int]]:
+    """The masks in order, as ``kernels.grams`` stacks: runs of equal-size
+    masks (contiguous: a design sorts its masks by size), each cut into
+    pieces of at most ``STACK_ENTRIES`` entries for grams of ``entries``."""
+    step = max(1, STACK_ENTRIES // max(entries, 1))
     for _, run in groupby(masks, key=lambda mask: int(mask).bit_count()):
         run = list(run)
         for lo in range(0, len(run), step):
-            yield from kernels.grams(kernel, run[lo:lo + step], A, B)
+            yield run[lo:lo + step]
 
 
 def _coalition_factors(kernel: KernelParams, masks: np.ndarray, rows: np.ndarray,
@@ -78,8 +79,10 @@ def _coalition_factors(kernel: KernelParams, masks: np.ndarray, rows: np.ndarray
         lam = default_lambda(rows.shape[0])
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-    for K in _coalition_grams(kernel, masks, rows, rows):
-        yield numerics.cholesky_psd(K, shift=lam)
+    m = rows.shape[0]
+    for stack in _stacks(masks, m * m):
+        for K in kernels.grams(kernel, stack, rows, rows):
+            yield numerics.cholesky_psd(K, shift=lam)
 
 
 def _weight_chunks(kernel: KernelParams, rows: np.ndarray, masks: np.ndarray,
@@ -87,21 +90,27 @@ def _weight_chunks(kernel: KernelParams, rows: np.ndarray, masks: np.ndarray,
                    X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(lo, B(X)[lo:lo + c])`` for successive blocks of c coalitions.
 
-    The only place that solves against the coalition factors; each block
-    holds at most ``CHUNK_ENTRIES`` entries (or one coalition).  Every
-    block is a view of one reused buffer, so a consumer must be done with a
-    block before it asks for the next.  ``factors`` may be a one-pass
-    iterator, so a caller that maps a single batch can drop each factor as
-    soon as it has been used.
+    Where the weights are solved against the coalition factors; each block
+    holds at most ``CHUNK_ENTRIES`` entries (or one coalition).  The
+    right-hand sides k_S(rows, X) are built in the block itself, one
+    ``kernels.grams`` call per stack, and each is solved there in place.
+    Every block is a view of one reused buffer, so a consumer must be done
+    with a block before it asks for the next.  ``factors`` may be a
+    one-pass iterator, so a caller that maps a single batch can drop each
+    factor as soon as it has been used.
     """
     m, n = rows.shape[0], X.shape[0]
     step = max(1, CHUNK_ENTRIES // max(m * n, 1))
     buffer = np.empty((min(step, len(masks)), m, n))
-    pairs = zip(factors, _coalition_grams(kernel, masks, rows, X))
+    factors = iter(factors)
     for lo in range(0, len(masks), step):
         block = buffer[:min(step, len(masks) - lo)]
-        for j, (factor, k_sx) in zip(range(len(block)), pairs):
-            block[j] = factor.solve(k_sx)
+        j = 0
+        for stack in _stacks(masks[lo:lo + len(block)], m * n):
+            kernels.grams(kernel, stack, rows, X, out=block[j:j + len(stack)])
+            j += len(stack)
+        for k_sx, factor in zip(block, factors):
+            factor.solve_in_place(k_sx)
         yield lo, block
 
 

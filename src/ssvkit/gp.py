@@ -179,15 +179,18 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
     Posterior mean m(x) = k(x, X)(K + noise*I)^-1 y and covariance
     k(x, x') - k(x, X)(K + noise*I)^-1 k(X, x'), both restricted to the
     inducing rows.  One n x n gram K is built: the inducing rows' blocks
-    are read out of it, and ``numerics.cholesky_psd`` adds the noise to
-    its own copy.
+    are copied out of it (one copy serves both when every row is kept),
+    and then K + noise*I is factored in K's own memory.
     """
     _require_noise(noise)
-    inducing = np.arange(data.n) if inducing is None else np.asarray(inducing, dtype=int)
-
     K = kernels.gram(kernel, (1 << data.d) - 1, data.X, data.X)
-    K_ix, K_ii = K[inducing], K[np.ix_(inducing, inducing)]
-    factor = numerics.cholesky_psd(K, shift=noise)
+    if inducing is None:
+        inducing = np.arange(data.n)
+        K_ix = K_ii = K.copy()
+    else:
+        inducing = np.asarray(inducing, dtype=int)
+        K_ix, K_ii = K[inducing], K[np.ix_(inducing, inducing)]
+    (factor,) = numerics.cholesky_in_place(K, [noise])
     return GPPosterior(
         inducing_points=data.X[inducing],
         mean_at_inducing=K_ix @ factor.solve(data.y),
@@ -197,21 +200,24 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
     )
 
 
-def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float,
-                            gram: Optional[np.ndarray] = None) -> float:
-    """Exact GP log marginal likelihood of the training targets.
-
-    ``gram``, when given, must be ``kernels.gram(kernel, (1 << d) - 1, X, X)``; it
-    is only read, so a caller can reuse it for other noise levels.
-    """
+def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float) -> float:
+    """Exact GP log marginal likelihood of the training targets."""
     _require_noise(noise)
-    if gram is None:
-        gram = kernels.gram(kernel, (1 << data.d) - 1, data.X, data.X)
-    factor = numerics.cholesky_psd(gram, shift=noise)
-    alpha = factor.solve(data.y)
-    return float(
-        -0.5 * data.y @ alpha - 0.5 * factor.logdet() - 0.5 * data.n * np.log(2.0 * np.pi)
-    )
+    K = kernels.gram(kernel, (1 << data.d) - 1, data.X, data.X)
+    return _likelihood(data.y, numerics.cholesky_psd(K, shift=noise))
+
+
+def _likelihood(y: np.ndarray, factor: numerics.CholeskyFactor) -> float:
+    """Log density of the targets y under N(0, K + noise*I), given its factor."""
+    alpha = factor.solve(y)
+    return float(-0.5 * y @ alpha - 0.5 * factor.logdet() - 0.5 * y.size * np.log(2.0 * np.pi))
+
+
+def _grid_row(data: Dataset, params: KernelParams, noises: list[float]) -> list[float]:
+    """The log marginal likelihood at ``params`` for each noise in turn, from
+    one gram factored in its own memory, and dropped on return."""
+    K = kernels.gram(params, (1 << data.d) - 1, data.X, data.X)
+    return [_likelihood(data.y, factor) for factor in numerics.cholesky_in_place(K, noises)]
 
 
 def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest_point",
@@ -222,11 +228,13 @@ def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest
 
     The grid crosses median-heuristic lengthscale multiples with fractions
     of var(y) as noise, at unit kernel variance; it runs lengthscale-major
-    and the first maximum wins.  Each multiplier's n x n gram serves its
-    noise levels and is dropped before the next, so one gram and one factor
-    are held at a time and every likelihood, the returned one too, equals a
-    fresh call bit for bit.  ``inducing`` None or at least n keeps every
-    row; otherwise ``select_inducing`` picks that many, before the search.
+    and the first maximum wins.  Each multiplier's n x n gram is factored
+    in its own memory for each of its noise levels in turn
+    (``numerics.cholesky_in_place``) and dropped before the next, so one
+    n x n buffer is held at a time and every likelihood, the returned one
+    too, equals a fresh ``log_marginal_likelihood`` bit for bit.
+    ``inducing`` None or at least n keeps every row; otherwise
+    ``select_inducing`` picks that many, before the search.
     """
     for name, values in (("ls_multipliers", ls_multipliers),
                          ("noise_fractions", noise_fractions)):
@@ -242,14 +250,13 @@ def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest
         var_y = float(np.var(data.y)) or 1.0
     if not np.isfinite(var_y):
         raise ValueError("the target's variance overflows a float; rescale the target")
+    noises = [frac * var_y for frac in noise_fractions]
+    for noise in noises:
+        _require_noise(noise)
     best, best_ll = None, -np.inf
     for mult in ls_multipliers:
         params = KernelParams(variance=1.0, lengthscales=mult * base)
-        K = kernels.gram(params, (1 << data.d) - 1, data.X, data.X)
-        for frac in noise_fractions:
-            noise = frac * var_y
-            ll = log_marginal_likelihood(data, params, noise, gram=K)
+        for noise, ll in zip(noises, _grid_row(data, params, noises)):
             if ll > best_ll:
                 best, best_ll = (params, noise), ll
-        del K                               # drop this gram before building the next
     return fit_exact(data, *best, rows), best_ll

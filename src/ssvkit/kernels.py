@@ -71,9 +71,10 @@ def gram(params: KernelParams, mask: int, A: np.ndarray, B: np.ndarray) -> np.nd
 
 
 def grams(params: KernelParams, masks: Sequence[int], A: np.ndarray,
-          B: np.ndarray) -> np.ndarray:
+          B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Grams between rows of A and B of masks that select equally many features,
-    one (c, m, n) stack; a mixed-size mask list is a ValueError.
+    one (c, m, n) stack; a mixed-size mask list is a ValueError.  ``out``, a
+    C-ordered float (c, m, n) array, receives the stack instead of a new one.
 
     A mask is an int whose bit u selects feature u; ``(1 << d) - 1`` is the
     full gram.  Entry (j, i, l) is ``variance * exp(-0.5 * sum_{u in mask_j}
@@ -83,8 +84,9 @@ def grams(params: KernelParams, masks: Sequence[int], A: np.ndarray,
 
     The squared distances come from one stacked GEMM, (c, m, k+2) @ (c, k+2,
     n), of the scaled inputs augmented with their halved squared norms,
-    ``-|a - b|^2 / 2 = a.b - |a|^2/2 - |b|^2/2``, then three elementwise
-    passes over the stack (clip at 0, exp, scale).  Each slice's product is
+    ``-|a - b|^2 / 2 = a.b - |a|^2/2 - |b|^2/2``, then elementwise passes
+    over the stack: clip at 0, exp, and scale unless the variance is 1.0
+    (x * 1.0 is x, so skipping it keeps every bit).  Each slice's product is
     the one ``dgemm`` of a one-mask stack, so slice j is bit for bit
     ``gram(params, masks[j], A, B)``.  For a mask whose ``|a|^2 + |b|^2``
     could overflow (above ``NORM_LIMIT``) the squared differences are summed
@@ -108,8 +110,13 @@ def grams(params: KernelParams, masks: Sequence[int], A: np.ndarray,
         raise ValueError("grams needs masks that all select equally many features")
     idx = np.array(idx, dtype=int)                          # c x k
     (c, k), m, n = idx.shape, A.shape[0], B.shape[0]
+    if out is None:
+        out = np.empty((c, m, n))
+    elif not (out.shape == (c, m, n) and out.dtype == float and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-ordered float array of shape {(c, m, n)}")
     if k == 0:
-        return np.ones((c, m, n))
+        out[...] = 1.0
+        return out
     ls = params.lengthscales[idx][:, None, :]               # c x 1 x k
     # the scaled inputs, each with two more columns for the norm terms
     Aa, Ba = np.empty((c, m, k + 2)), np.empty((c, n, k + 2))
@@ -128,7 +135,7 @@ def grams(params: KernelParams, masks: Sequence[int], A: np.ndarray,
     far = np.flatnonzero(~expand)
     if far.size:
         Aa[far] = Ba[far] = 0.0         # these slices come from the direct sums below
-    out = Aa @ Ba.transpose(0, 2, 1)
+    np.matmul(Aa, Ba.transpose(0, 2, 1), out=out)
     np.minimum(out, 0.0, out=out)
     for j in far:
         # scaled inputs too large for the expansion: sum the squared scaled
@@ -139,7 +146,8 @@ def grams(params: KernelParams, masks: Sequence[int], A: np.ndarray,
                 out[j] += ((A[:, u, None] - B[None, :, u]) / l) ** 2
         out[j] *= -0.5
     np.exp(out, out=out)
-    out *= params.variance
+    if params.variance != 1.0:
+        out *= params.variance
     return out
 
 

@@ -6,9 +6,11 @@ routes through a jittered Cholesky factorization.
 
 ``cholesky_psd`` checks its input for non-finite entries once and returns
 a Fortran-ordered factor from LAPACK's ``dpotrf``, so ``CholeskyFactor.solve``
-never rescans it.  The solve works on the right-hand side in its own
-layout: a vector or a column-major matrix is solved from the left, any
-other matrix from the right on its transpose, with no transposing copy.
+never rescans it.  ``cholesky_in_place`` makes the same factors, for a
+run of shifts, in a C-ordered gram's own memory instead of a copy.  The
+solve works on the right-hand side in its own layout: a vector or a
+column-major matrix is solved from the left, any other matrix from the
+right on its transpose, with no transposing copy.
 A right-side system of more than ``_SOLVE_LEAF`` rows is solved
 recursively: the factor is halved, each off-diagonal block is applied by
 one ``dgemm``, and only diagonal blocks of at most ``_SOLVE_LEAF`` rows go
@@ -33,6 +35,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -48,6 +51,11 @@ DEFAULT_MAX_JITTER = 1e-4
 # m = 48..400 with 100 columns, one BLAS thread: no size got slower, and
 # halving at 65 rows (blocks of 32) took x1.09 the time
 _SOLVE_LEAF = 96
+# columns of the gram one step of cholesky_in_place's mirror copies, and the
+# strict lower triangle of a diagonal block (np.tril_indices per block cost
+# more than the copies at n = 300)
+_MIRROR_BLOCK = 64
+_BELOW_DIAGONAL = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
 
 
 def _compiled_module(package: str, name: str):
@@ -179,14 +187,31 @@ class CholeskyFactor:
             raise ValueError("rhs contains non-finite entries")
         # one numpy copy of rhs in the layout its solve reads (faster than
         # letting f2py copy it); every BLAS call then works in place
+        order = "F" if b.ndim == 1 or b.flags.f_contiguous else "C"
+        return self.solve_in_place(np.array(b, order=order))
+
+    def solve_in_place(self, x: np.ndarray) -> np.ndarray:
+        """Overwrite x with the solution of (L L^T) x' = x and return it.
+
+        x is a contiguous float vector or matrix, solved as ``solve`` solves
+        its copy, so the two agree bit for bit; its finiteness is not checked.
+
+        Raises
+        ------
+        ValueError
+            If x is not float64 or is neither C- nor F-contiguous (BLAS
+            would solve a copy and leave x as it was).
+        """
+        if not (x.dtype == np.float64 and (x.flags.c_contiguous or x.flags.f_contiguous)):
+            raise ValueError(f"solve_in_place needs a contiguous float64 array, got {x.dtype}")
         L = self.lower
-        if b.ndim == 1 or b.flags.f_contiguous:
-            x = blas.dtrsm(1.0, L, np.array(b, order="F"), lower=1, overwrite_b=1)
-            return blas.dtrsm(1.0, L, x, lower=1, trans_a=1, overwrite_b=1)
-        xt = np.array(b, order="C").T
-        _solve_right(L, xt, trans=1)
-        _solve_right(L, xt, trans=0)
-        return xt.T
+        if x.ndim == 1 or x.flags.f_contiguous:
+            blas.dtrsm(1.0, L, x, lower=1, overwrite_b=1)
+            blas.dtrsm(1.0, L, x, lower=1, trans_a=1, overwrite_b=1)
+        else:
+            _solve_right(L, x.T, trans=1)
+            _solve_right(L, x.T, trans=0)
+        return x
 
     def logdet(self) -> float:
         """Log-determinant of the factored matrix."""
@@ -227,7 +252,8 @@ def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER, *,
     factorization succeeds.  An attempt with a shift or a jitter adds them,
     in that order, to the diagonal of its own Fortran-order copy of ``m``
     and factors the copy in place; otherwise it factors ``m`` as given.
-    This is the only code that adds to a diagonal.  ``m`` is never modified.
+    Only the lower triangle and the diagonal are read, and ``m`` is never
+    modified (``cholesky_in_place`` factors in ``m``'s own memory instead).
 
     Raises
     ------
@@ -244,14 +270,78 @@ def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER, *,
     if not (np.all(np.isfinite(m)) and np.isfinite(shift) and np.all(np.isfinite(diag))):
         raise ValueError("matrix contains non-finite entries")
 
+    def attempt(jitter):
+        if shift == 0.0 and jitter == 0.0:
+            return lapack.dpotrf(m, lower=1, clean=1)
+        a = np.array(m, order="F")
+        np.fill_diagonal(a, diag + jitter)
+        # finiteness was checked above; the copy is ours to overwrite
+        return lapack.dpotrf(a, lower=1, clean=1, overwrite_a=True)
+
+    return _jittered(attempt, m.shape[0], max_jitter)
+
+
+def cholesky_in_place(m: np.ndarray, shifts: Iterable[float]) -> Iterator[CholeskyFactor]:
+    """Factors of ``m + s*I`` for each s of ``shifts`` in turn, each in ``m``'s own memory.
+
+    ``m`` is a C-ordered symmetric matrix, of which (as in ``cholesky_psd``,
+    whose factors these equal bit for bit in their lower triangle) only the
+    lower triangle and the diagonal are read.  Its Fortran view m.T holds
+    that lower triangle in its upper one.  Each attempt mirrors it into the
+    lower triangle a block of columns at a time, with no n x n temporary,
+    sets the diagonal to the saved one plus s (plus jitter) and runs
+    ``dpotrf`` there, on the same escalating jitter as ``cholesky_psd``.  So
+    ``m``'s strict lower triangle is never written and every factor's upper
+    triangle holds it, not zeros: a factor is only fit for its own solves
+    and ``logdet``, and the next one overwrites it.  The diagonal is saved
+    when the first factor is asked for, so ``m`` serves one call only.
+
+    Raises
+    ------
+    ValueError
+        If ``m`` is not a square C-ordered float array, or ``m`` or a shifted
+        diagonal is not finite.
+    JitterExceeded
+        If a factorization fails with every jitter <= ``DEFAULT_MAX_JITTER``.
+    """
+    if not (m.ndim == 2 and m.shape[0] == m.shape[1] and m.dtype == float
+            and m.flags.c_contiguous):
+        raise ValueError(f"expected a square C-ordered float matrix, got {m.dtype} {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    a, diag = m.T, m.diagonal().copy()
+    for shift in shifts:
+        with np.errstate(over="ignore"):    # an overflow here fails the check
+            shifted = diag + shift
+        if not (np.isfinite(shift) and np.all(np.isfinite(shifted))):
+            raise ValueError("matrix contains non-finite entries")
+
+        def attempt(jitter):
+            _mirror_upper(a)
+            np.fill_diagonal(a, shifted + jitter)
+            return lapack.dpotrf(a, lower=1, clean=0, overwrite_a=True)
+
+        yield _jittered(attempt, m.shape[0], DEFAULT_MAX_JITTER)
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the square a's strict upper triangle into its strict lower one,
+    ``_MIRROR_BLOCK`` columns at a time."""
+    n = a.shape[0]
+    for lo in range(0, n, _MIRROR_BLOCK):
+        hi = min(lo + _MIRROR_BLOCK, n)
+        a[hi:, lo:hi] = a[lo:hi, hi:].T
+        block = a[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=_BELOW_DIAGONAL[:hi - lo, :hi - lo])
+
+
+def _jittered(attempt: Callable[[float], tuple[np.ndarray, int]], n: int,
+              max_jitter: float) -> CholeskyFactor:
+    """The first factor ``attempt(jitter)`` returns as ``dpotrf`` does, with
+    jitter 0, then 1e-12 growing tenfold up to ``max_jitter``."""
     jitter = 0.0
     while True:
-        a = m
-        if shift != 0.0 or jitter != 0.0:
-            a = np.array(m, order="F")
-            np.fill_diagonal(a, diag + jitter)
-        # finiteness was checked above; a copy is ours to overwrite
-        lower, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=a is not m)
+        lower, info = attempt(jitter)
         if info == 0:
             return CholeskyFactor(lower=lower, jitter_used=jitter)
         if info < 0:
@@ -259,7 +349,7 @@ def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER, *,
         jitter = INITIAL_JITTER if jitter == 0.0 else jitter * JITTER_GROWTH
         if jitter > max_jitter:
             raise JitterExceeded(
-                f"Cholesky failed for {m.shape[0]}x{m.shape[0]} matrix at jitter cap {max_jitter:g}"
+                f"Cholesky failed for {n}x{n} matrix at jitter cap {max_jitter:g}"
             )
 
 

@@ -13,10 +13,15 @@ M(x) K M(x')^T has rank at most m, the anchor count, so fitting is
 Bayesian linear regression on m weights (the weight-space view of
 Rasmussen & Williams, GPML 2.1): with K = L L^T and G = F L stacking the
 training maps, only L and the m x m factor of G^T G + noise*I are
-factored.  Fit costs O(n*d*m^2) time and O(n*d*m) transient memory; no
-(n*d)^2 gram is formed, so the number of explanations is not capped.
-``predict_batch`` needs no factorization or solve and costs O(d*m^2) per
-input; ``predict`` is its one-input case.
+factored.  With ell coalitions, fit costs O(ell*m^3 + n*ell*m*(m + d)
++ n*d*m^2) time: one m x m factor per coalition, a back-substitution and
+projection of each of the n inputs against each factor, then the
+weight-space solve.  It needs
+O(n*d*m) transient memory, and the model keeps the ell*m^2 floats of the
+coalition factors.  No (n*d)^2 gram is formed, so the number of
+explanations is not capped.  ``predict_batch`` factors nothing, but it
+back-substitutes each input against all ell coalition factors and projects
+the result: O(ell*m*(m + d)) per input.  ``predict`` is its one-input case.
 """
 
 from __future__ import annotations

@@ -28,15 +28,22 @@ def rng():
 
 @pytest.fixture
 def count_cholesky(monkeypatch):
-    """Records the shape of every matrix passed to ``numerics.cholesky_psd``."""
+    """Records the shape of every matrix passed to ``numerics.cholesky_psd``,
+    and of ``numerics.cholesky_in_place``'s once for each factor it makes."""
     calls = []
-    original = numerics.cholesky_psd
+    original, in_place = numerics.cholesky_psd, numerics.cholesky_in_place
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
+    def counted_in_place(m, *args, **kwargs):
+        for factor in in_place(m, *args, **kwargs):
+            calls.append(m.shape)
+            yield factor
+
     monkeypatch.setattr(numerics, "cholesky_psd", counted)
+    monkeypatch.setattr(numerics, "cholesky_in_place", counted_in_place)
     return calls
 
 

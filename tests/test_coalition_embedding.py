@@ -196,6 +196,39 @@ class TestStreamedProjection:
                                        rtol=0, atol=1e-12)
         np.testing.assert_allclose(maps, whole_maps, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d,n,block", [(4, 6, 3), (11, 40, 600)],
+                             ids=["blocks-span-size-levels", "several-wide-blocks"])
+    def test_maps_are_the_blockwise_sum_bit_for_bit(self, rng, monkeypatch, d, n, block):
+        # P += A[:, block] @ B[block], summed block by block in numpy; wide
+        # blocks are where a BLAS that accumulates into P (dgemm with beta 1)
+        # splits the sum over the block and loses these bits
+        post, data = fit_synthetic_posterior(rng, n=60, d=d, n_inducing=20)
+        design = coalition.enumerate_coalitions(d)
+        X = data.X[:n]
+        ell, m = len(design.masks), 20
+        monkeypatch.setattr(cme, "CHUNK_ENTRIES", block * m * n)
+        maps, _ = cme.projected_batch(post, design, X)
+        B = cme.embedding_batch(post, design, X).tensor()
+        P = np.zeros((d, m * n))
+        for lo in range(0, ell, block):
+            P += design.A[:, lo:lo + block] @ B[lo:lo + block].reshape(-1, m * n)
+        assert maps.tobytes() == P.reshape(d, m, n).transpose(2, 0, 1).tobytes()
+
+    def test_zero_instances(self, rng):
+        post, _ = fit_synthetic_posterior(rng, n=30, d=3, n_inducing=10)
+        design = coalition.enumerate_coalitions(3)
+        X = np.zeros((0, 3))
+        maps, E = cme.projected_batch(post, design, X)
+        assert maps.shape == (0, 3, 10) and E.shape == (8, 0)
+        assert cme.embedding_batch(post, design, X).tensor().shape == (8, 10, 0)
+        X_old, Phi, anchors, kernel, _, lam, noise, _ = prior_problem(rng)
+        emb = cme.coalition_embedding(kernel, anchors, design, lam)
+        assert emb.projected(X).shape == (0, 3, 8) and emb.weights(X).shape == (8, 8, 0)
+        model = shapley_prior.fit(ExplanationDataset(X=X_old, Phi=Phi), anchors, kernel,
+                                  design, lam, noise)
+        means, covs = shapley_prior.predict_batch(model, X)
+        assert means.shape == (0, 3) and covs.shape == (0, 3, 3)
+
     def test_streamed_payoff_means_match_the_weight_tensor(self, rng, monkeypatch):
         post, data = fit_synthetic_posterior(rng, n=40, d=4, n_inducing=20)
         design = coalition.enumerate_coalitions(4)
@@ -236,9 +269,9 @@ class TestStackedGrams:
         calls = []
         grams = kernels.grams
 
-        def spy(params, masks, A, B):
+        def spy(params, masks, A, B, out=None):
             calls.append((len(A), len(B), int(masks[0]).bit_count(), len(masks)))
-            return grams(params, masks, A, B)        # which rejects mixed sizes
+            return grams(params, masks, A, B, out)   # which rejects mixed sizes
 
         def forbidden(*args, **kwargs):
             raise AssertionError("kernels.gram called on the coalition path")
@@ -270,3 +303,29 @@ class TestStackedGrams:
         cme.coalition_embedding(kernel, rows, design, lam).projected(X)
         assert len(spied) == 2 * (d + 1)
         assert self.levels(spied, m, m) == full and self.levels(spied, m, n) == full
+
+    def test_a_level_wider_than_a_stack_is_cut_into_stacks(self, rng, monkeypatch):
+        # one instance: one block holds every coalition, so only the stack
+        # bound keeps the right-hand sides' grams from spanning a whole level
+        (d, m), n = (10, 100), 1
+        post, data = fit_synthetic_posterior(rng, n=120, d=d, n_inducing=m)
+        design = coalition.enumerate_coalitions(d)
+        X = data.X[:n]
+        monkeypatch.setattr(cme, "STACK_ENTRIES", 8 * m * n)
+        sizes, grams = [], kernels.grams
+
+        def spy(params, masks, A, B, out=None):
+            sizes.append((len(B), len(masks)))
+            return grams(params, masks, A, B, out)
+
+        monkeypatch.setattr(kernels, "grams", spy)
+        tracemalloc.start()
+        try:
+            cme.projected_batch(post, design, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(count for b, count in sizes if b == n) == 8
+        assert sum(count for b, count in sizes if b == n) == len(design.masks)
+        # measured 1.14 MB; 3.5 MB with each level's grams in one stack
+        assert peak < 2 * len(design.masks) * m * n * 8

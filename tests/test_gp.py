@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from ssvkit import gp, kernels, numerics
-from ssvkit.errors import CountOutOfRange, JitterExceeded
+from ssvkit.errors import CountOutOfRange
 
 from conftest import make_regression
 
@@ -29,6 +30,20 @@ def grid_points(data, ls_multipliers=LS_MULTIPLIERS, noise_fractions=NOISE_FRACT
 def fresh_lml(data, lengthscales, noise):
     params = kernels.KernelParams(variance=1.0, lengthscales=lengthscales)
     return gp.log_marginal_likelihood(data, params, noise)
+
+
+def grid_calls(rows):
+    """(params, noise, likelihood) of each grid point, from a spy on ``gp._grid_row``."""
+    return [(args[1], noise, ll) for args, _, lls in rows for noise, ll in zip(args[2], lls)]
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def spy(monkeypatch, module, name):
@@ -175,6 +190,19 @@ class TestFitExact:
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
         np.testing.assert_array_equal(post.inducing_points, Xi)
 
+    def test_every_row_keeps_one_copy_and_matches_the_explicit_rows(self, rng):
+        n = 300
+        data = make_regression(rng, n=n, d=3)
+        params = kernels.KernelParams(variance=1.3, lengthscales=np.full(3, 0.9))
+        every, peak = traced_peak(lambda: gp.fit_exact(data, params, 0.1))
+        explicit = gp.fit_exact(data, params, 0.1, np.arange(n))
+        for field in ("inducing_points", "mean_at_inducing", "cov_at_inducing"):
+            assert getattr(every, field).tobytes() == getattr(explicit, field).tobytes()
+        # the gram, factored in place, one copy of it and the covariance's
+        # temporaries: about 5 n x n arrays; separate copies for the rows and
+        # their block, and a copy to factor, held about 7
+        assert peak < 6 * n * n * 8
+
     @pytest.mark.parametrize("noise", [np.inf, np.nan])
     def test_non_finite_noise_is_rejected(self, small_data, noise):
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
@@ -287,20 +315,22 @@ class TestSelectHyperparameters:
 
     def test_tie_breaks_to_earliest(self, small_data, monkeypatch):
         grams = spy(monkeypatch, kernels, "gram")
-        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        rows = spy(monkeypatch, gp, "_grid_row")
         post, _ = gp.fit(small_data, ls_multipliers=[1.0, 1.0], noise_fractions=[0.5, 0.5])
-        assert len(grams) == 2 + 1 and len({ll for _, _, ll in lmls}) == 1
-        assert post.kernel is grams[0][0][0] and post.kernel is lmls[0][0][1]
-        assert post.noise == lmls[0][0][2] == 0.5 * float(np.var(small_data.y))
+        lmls = grid_calls(rows)
+        assert len(grams) == 2 + 1 and len(lmls) == 4 and len({ll for _, _, ll in lmls}) == 1
+        assert post.kernel is grams[0][0][0] and post.kernel is lmls[0][0]
+        assert post.noise == lmls[0][1] == 0.5 * float(np.var(small_data.y))
 
     def test_grid_crosses_the_given_multipliers_and_fractions(self, small_data, monkeypatch):
-        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        rows = spy(monkeypatch, gp, "_grid_row")
         gp.fit(small_data, ls_multipliers=[0.5, 3.0], noise_fractions=[0.1, 0.2, 0.3])
+        lmls = grid_calls(rows)
         want = grid_points(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
         assert len(lmls) == len(want) == 6
-        for (args, _, _), (lengthscales, noise) in zip(lmls, want):
-            np.testing.assert_array_equal(args[1].lengthscales, lengthscales)
-            assert args[1].variance == 1.0 and args[2] == noise
+        for (params, got_noise, _), (lengthscales, noise) in zip(lmls, want):
+            np.testing.assert_array_equal(params.lengthscales, lengthscales)
+            assert params.variance == 1.0 and got_noise == noise
 
     @pytest.mark.parametrize("ls,noise,message", [
         ([1.0, 0.0], [0.1], "ls_multipliers must be positive and finite, got 0.0"),
@@ -322,10 +352,11 @@ class TestSelectHyperparameters:
             gp.fit(small_data, ls_multipliers=[1.0], noise_fractions=[])
 
     def test_default_grid_shape(self, small_data, monkeypatch):
-        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        rows = spy(monkeypatch, gp, "_grid_row")
         gp.fit(small_data)
-        assert len(lmls) == 20
-        noises = sorted({args[2] for args, _, _ in lmls})
+        lmls = grid_calls(rows)
+        assert len(rows) == 5 and len(lmls) == 20
+        noises = sorted({noise for _, noise, _ in lmls})
         var_y = np.var(small_data.y)
         assert noises[0] == pytest.approx(1e-3 * var_y)
         assert noises[-1] == pytest.approx(var_y)
@@ -333,11 +364,18 @@ class TestSelectHyperparameters:
 
 class TestGramReuse:
     """``gp.fit``'s search builds one n x n gram per lengthscale multiplier and
-    hands it to ``log_marginal_likelihood``; ``fit_exact`` then builds its own."""
+    factors it in place for each noise level; ``fit_exact`` then builds its own."""
 
     def test_default_grid_builds_one_gram_per_lengthscale(self, small_data, monkeypatch):
         grams = spy(monkeypatch, kernels, "gram")
-        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        in_place, factored = [], numerics.cholesky_in_place
+
+        def recorded(m, shifts, *args, **kwargs):
+            shifts = list(shifts)
+            in_place.append((m, shifts))
+            return factored(m, shifts, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "cholesky_in_place", recorded)
         grams_before_fit_exact, fit_exact = [], gp.fit_exact
 
         def counted(*args, **kwargs):
@@ -346,13 +384,13 @@ class TestGramReuse:
 
         monkeypatch.setattr(gp, "fit_exact", counted)
         post, _ = gp.fit(small_data)
-        assert len(grams) == 5 + 1 and grams_before_fit_exact == [5]
-        for (args, _, K), run in zip(grams, [lmls[k:k + 4] for k in range(0, 20, 4)]):
-            for lml_args, lml_kwargs, _ in run:
-                assert lml_args[1] is args[0] and lml_kwargs["gram"] is K
+        assert len(grams) == len(in_place) == 5 + 1 and grams_before_fit_exact == [5]
+        noises = [noise for _, noise in grid_points(small_data)[:4]]
+        for (_, _, K), (m, shifts) in zip(grams[:5], in_place):
+            assert m is K and shifts == noises
         args, _, K = grams[5]
         assert args[0] is post.kernel and K.shape == (30, 30)
-        assert all(kwargs["gram"] is not K for _, kwargs, _ in lmls)
+        assert in_place[5][0] is K and in_place[5][1] == [post.noise]
 
     def test_holds_at_most_one_gram(self, small_data, monkeypatch):
         refs, original = [], kernels.gram
@@ -368,38 +406,19 @@ class TestGramReuse:
         assert len(refs) == 5 + 1
 
     def test_grid_likelihoods_equal_fresh_calls_bit_for_bit(self, small_data, monkeypatch):
-        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        rows = spy(monkeypatch, gp, "_grid_row")
         post, ll = gp.fit(small_data)
         monkeypatch.undo()
+        lmls = grid_calls(rows)
         grid = grid_points(small_data)
         assert len(lmls) == 20
         fresh = [fresh_lml(small_data, lengthscales, noise) for lengthscales, noise in grid]
-        for (args, kwargs, got), (lengthscales, noise), want in zip(lmls, grid, fresh):
-            np.testing.assert_array_equal(args[1].lengthscales, lengthscales)
-            assert args[2] == noise and kwargs["gram"] is not None
-            assert got == want
+        for (params, got_noise, got), (lengthscales, noise), want in zip(lmls, grid, fresh):
+            np.testing.assert_array_equal(params.lengthscales, lengthscales)
+            assert got_noise == noise and got == want
         lengthscales, noise = grid[int(np.argmax(fresh))]
         np.testing.assert_array_equal(post.kernel.lengthscales, lengthscales)
         assert post.noise == noise and ll == max(fresh)
-
-
-    def test_callers_gram_is_left_bit_identical(self, small_data):
-        lengthscales, noise = grid_points(small_data)[6]
-        params = kernels.KernelParams(variance=1.0, lengthscales=lengthscales)
-        K = kernels.gram(params, 0b111, small_data.X, small_data.X)
-        before = K.tobytes()
-        ll = gp.log_marginal_likelihood(small_data, params, noise, gram=K)
-        assert K.tobytes() == before
-        assert ll == gp.log_marginal_likelihood(small_data, params, noise)
-
-    def test_callers_gram_is_restored_when_the_factorization_fails(self, small_data):
-        params = kernels.KernelParams(variance=1.0,
-                                      lengthscales=grid_points(small_data)[0][0])
-        K = -kernels.gram(params, 0b111, small_data.X, small_data.X)
-        before = K.tobytes()
-        with pytest.raises(JitterExceeded):  # a diagonal of -1 plus 0.5 is indefinite
-            gp.log_marginal_likelihood(small_data, params, 0.5, gram=K)
-        assert K.tobytes() == before
 
 
 INTERLEAVED = ([1.0, 0.5, 1.0, 2.0], [0.1, 1e-3, 1.0])
@@ -410,10 +429,10 @@ class TestFit:
     def test_bad_inducing_count_fails_before_the_search(self, small_data, monkeypatch,
                                                         inducing):
         grams = spy(monkeypatch, kernels, "gram")
-        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        rows = spy(monkeypatch, gp, "_grid_row")
         with pytest.raises(CountOutOfRange, match=f"count must be in \\[1, 30\\], got {inducing}"):
             gp.fit(small_data, inducing=inducing)
-        assert grams == [] and lmls == []
+        assert grams == [] and rows == []
 
     @pytest.mark.parametrize("grid", [(LS_MULTIPLIERS, NOISE_FRACTIONS), INTERLEAVED],
                              ids=["default", "interleaved"])
@@ -427,13 +446,20 @@ class TestFit:
     def test_builds_each_system_once_and_the_winners_twice(self, small_data, monkeypatch,
                                                            count_cholesky, grid, inducing):
         grams = spy(monkeypatch, kernels, "gram")
-        lmls = spy(monkeypatch, gp, "log_marginal_likelihood")
+        rows = spy(monkeypatch, gp, "_grid_row")
         ls, nf = grid
         gp.fit(small_data, inducing, ls_multipliers=ls, noise_fractions=nf)
         n = small_data.n
-        assert len(lmls) == len(ls) * len(nf)
+        assert len(grid_calls(rows)) == len(ls) * len(nf)
         assert sum(K.shape == (n, n) for _, _, K in grams) == len(ls) + 1
         assert count_cholesky.count((n, n)) == len(ls) * len(nf) + 1
+
+    def test_the_search_holds_one_n_by_n_buffer(self, rng):
+        n = 400
+        data = make_regression(rng, n=n, d=3)
+        _, peak = traced_peak(lambda: gp.fit(data, 40))
+        # a factor copied out of each gram would hold two
+        assert peak < 1.5 * n * n * 8
 
     def test_every_row_when_inducing_is_none_or_at_least_n(self, small_data):
         every, ll = gp.fit(small_data)

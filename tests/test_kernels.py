@@ -201,7 +201,9 @@ class TestGrams:
     def test_every_slice_is_the_one_mask_gram_bit_for_bit(self, case):
         d, masks, m, n, seed = case
         rng = np.random.default_rng(seed)
-        params = KernelParams(variance=rng.uniform(1.5, 4.0),
+        variance = rng.uniform(1.5, 4.0)
+        # every other case at unit variance, where the scaling pass is skipped
+        params = KernelParams(variance=1.0 if seed % 2 else variance,
                               lengthscales=rng.uniform(0.2, 5.0, d))
         A, B = 2.0 * rng.normal(size=(m, d)), rng.normal(size=(n, d))
         stack = grams(params, masks, A, B)
@@ -209,6 +211,10 @@ class TestGrams:
         for j, mask in enumerate(masks):
             np.testing.assert_array_equal(stack[j], gram(params, mask, A, B))
             np.testing.assert_array_equal(stack[j], one_gemm_gram(params, mask, A, B))
+        out = np.full((len(masks) + 2, m, n), np.nan)
+        assert grams(params, masks, A, B, out=out[1:-1]).base is out
+        np.testing.assert_array_equal(out[1:-1], stack)
+        assert np.all(np.isnan(out[[0, -1]]))       # nothing outside ``out`` is written
 
     def test_empty_masks_are_all_ones(self, params, rng):
         A, B = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
@@ -230,6 +236,19 @@ class TestGrams:
                                        rtol=1e-14, atol=1e-300)
         np.testing.assert_array_equal(stack[2], one_gemm_gram(params, 0b110, A, B))
         assert np.all(stack[:2, 0] == 0.0)
+        out = np.full_like(stack, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grams(params, masks, A, B, out=out)
+        np.testing.assert_array_equal(out, stack)
+
+    @pytest.mark.parametrize("out", [np.zeros((2, 4, 6)), np.zeros((2, 6, 4)).transpose(0, 2, 1),
+                                     np.zeros((2, 4, 5), dtype=np.float32)],
+                             ids=["shape", "order", "dtype"])
+    def test_out_must_fit_the_stack(self, params, rng, out):
+        A, B = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        with pytest.raises(ValueError, match=r"out must be a C-ordered float array of shape \(2, 4, 5\)"):
+            grams(params, [0b001, 0b010], A, B, out=out)
 
     @pytest.mark.parametrize("masks", [[0b001, 0b011], [0, 0b100], []])
     def test_masks_of_mixed_sizes_are_rejected(self, params, masks):

@@ -264,6 +264,71 @@ class TestShift:
             numerics.cholesky_psd(np.eye(2), 1e-4, 0.5)
 
 
+def gram_of(n, repeat=0, seed=5):
+    """An n x n RBF gram, C-ordered, whose two triangles differ in the last
+    bits; its last ``repeat`` rows repeat its first ones."""
+    X = np.random.default_rng(seed).normal(size=(n - repeat, 3))
+    X = np.vstack([X, X[:repeat]])
+    return kernels.gram(kernels.KernelParams(variance=1.0, lengthscales=np.ones(3)),
+                        0b111, X, X)
+
+
+class TestCholeskyInPlace:
+    """``cholesky_in_place`` makes ``cholesky_psd``'s factors in the gram's memory."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 64, 65, 200])
+    def test_lower_triangles_equal_cholesky_psd_bit_for_bit(self, n):
+        m = gram_of(n)
+        assert n < 12 or not np.array_equal(m, m.T)
+        pristine, shifts = m.copy(), [1e-3, 1e-2, 0.1, 1.0]
+        y = np.random.default_rng(n).normal(size=n)
+        for shift, got in zip(shifts, numerics.cholesky_in_place(m, shifts)):
+            want = numerics.cholesky_psd(pristine, shift=shift)
+            assert np.shares_memory(got.lower, m) and got.lower.flags.f_contiguous
+            assert np.tril(got.lower).tobytes() == want.lower.tobytes()
+            assert got.jitter_used == want.jitter_used == 0.0
+            assert got.solve(y).tobytes() == want.solve(y).tobytes()
+            assert got.logdet() == want.logdet()
+            # the strict lower triangle is never written: the factor's upper one holds it
+            np.testing.assert_array_equal(np.tril(m, -1), np.tril(pristine, -1))
+            np.testing.assert_array_equal(np.triu(got.lower, 1), np.tril(pristine, -1).T)
+
+    def test_a_jitter_retry_restores_the_triangle_first(self):
+        # duplicated rows make the gram singular, and a noise of 1e-20 vanishes
+        # on its unit diagonal, so the first attempt fails part way through
+        m = gram_of(150, repeat=40)
+        pristine, shifts = m.copy(), [1e-20, 0.5, 1e-20]
+        factors = []
+        for shift, got in zip(shifts, numerics.cholesky_in_place(m, shifts)):
+            want = numerics.cholesky_psd(pristine, shift=shift)
+            factors.append(got.jitter_used)
+            assert got.jitter_used == want.jitter_used
+            assert np.tril(got.lower).tobytes() == want.lower.tobytes()
+            np.testing.assert_array_equal(np.tril(m, -1), np.tril(pristine, -1))
+        assert factors[0] == factors[2] > 0.0 and factors[1] == 0.0
+
+    def test_jitter_beyond_the_cap_fails(self):
+        m = -gram_of(12)
+        with pytest.raises(JitterExceeded, match="12x12 matrix at jitter cap 0.0001"):
+            next(numerics.cholesky_in_place(m, [0.5]))
+
+    @pytest.mark.parametrize("m", [np.zeros((3, 4)), np.asfortranarray(gram_of(5)),
+                                   gram_of(5)[::2, ::2], np.eye(3, dtype=int)],
+                             ids=["not-square", "fortran", "strided", "int"])
+    def test_only_a_square_c_ordered_float_matrix_is_taken(self, m):
+        with pytest.raises(ValueError, match="expected a square C-ordered float matrix"):
+            next(numerics.cholesky_in_place(m, [0.1]))
+
+    @pytest.mark.parametrize("m,shift", [(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.1),
+                                         (np.eye(2), np.inf), (1e308 * np.eye(2), 1e308)],
+                             ids=["nan-entry", "inf-shift", "diagonal-overflows"])
+    def test_non_finite_entries_are_rejected(self, m, shift):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+                next(numerics.cholesky_in_place(m, [shift]))
+
+
 def solve_problem():
     """The factor of a 200 x 200 RBF gram plus lambda = 1e-3 * m, as a CME
     coalition solve builds it, and a 200 x 100 cross-gram right-hand side."""
@@ -321,6 +386,25 @@ class TestSolve:
         x = factor.solve(b)
         assert x.shape == b.shape and not np.shares_memory(x, b)
         assert b.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("layout", ["vector", "column", "column-major", "row-major"])
+    def test_in_place_solve_overwrites_its_argument_with_solves_result(self, layout):
+        factor, B = solve_problem()
+        b = LAYOUTS[layout](B)
+        want = factor.solve(b)
+        assert factor.solve_in_place(b) is b
+        assert b.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b", [lambda B: B[:, ::2], lambda B: B[::2, 0],
+                                   lambda B: B.astype(np.float32)],
+                             ids=["strided", "strided-vector", "float32"])
+    def test_in_place_solve_refuses_what_blas_would_copy(self, b):
+        factor, B = solve_problem()
+        x = b(B)
+        before = x.copy()
+        with pytest.raises(ValueError, match="contiguous float64"):
+            factor.solve_in_place(x)
+        assert x.tobytes() == before.tobytes()
 
     def test_row_major_rhs_gives_a_row_major_result(self):
         factor, B = solve_problem()
