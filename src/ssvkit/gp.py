@@ -6,12 +6,14 @@ model producing that interface is interchangeable.  Here the posterior is
 computed by exact Gaussian conditioning on the full training set and the
 inducing rows are a subset of the training inputs, selected either
 uniformly at random or by greedy farthest-point traversal.  ``fit``
-chooses kernel and noise by a likelihood grid search and conditions once.
+chooses kernel and noise by a likelihood grid search, bounded so that it
+factors only the grid points that can win, and conditions once.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -180,7 +182,11 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
     k(x, x') - k(x, X)(K + noise*I)^-1 k(X, x'), both restricted to the
     inducing rows.  One n x n gram K is built: the inducing rows' blocks
     are copied out of it (one copy serves both when every row is kept),
-    and then K + noise*I is factored in K's own memory.
+    and then K + noise*I is factored in K's own memory.  The covariance is
+    ``symmetrize(K_ii - K_ix @ factor.solve(K_ix.T))``, the same operations
+    in the same order, with each result put in a buffer already held: the
+    product and the difference in the spent factor's, the average in K_ii's.
+    With every row kept, three n x n arrays are alive at the peak, not five.
     """
     _require_noise(noise)
     K = kernels.gram(kernel, (1 << data.d) - 1, data.X, data.X)
@@ -191,33 +197,76 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
         inducing = np.asarray(inducing, dtype=int)
         K_ix, K_ii = K[inducing], K[np.ix_(inducing, inducing)]
     (factor,) = numerics.cholesky_in_place(K, [noise])
-    return GPPosterior(
-        inducing_points=data.X[inducing],
-        mean_at_inducing=K_ix @ factor.solve(data.y),
-        cov_at_inducing=numerics.symmetrize(K_ii - K_ix @ factor.solve(K_ix.T)),
-        kernel=kernel,
-        noise=float(noise),
-    )
+    mean = K_ix @ factor.solve(data.y)
+    solved = factor.solve(K_ix.T)
+    m = len(inducing)
+    diff = np.matmul(K_ix, solved, out=K.reshape(-1)[:m * m].reshape(m, m))
+    np.subtract(K_ii, diff, out=diff)
+    cov = np.add(diff, diff.T, out=K_ii)      # numerics.symmetrize, in K_ii's memory
+    cov *= 0.5
+    del K, factor, solved, diff         # before the posterior's checks take two more
+    return GPPosterior(inducing_points=data.X[inducing], mean_at_inducing=mean,
+                       cov_at_inducing=cov, kernel=kernel, noise=float(noise))
 
 
 def log_marginal_likelihood(data: Dataset, kernel: KernelParams, noise: float) -> float:
     """Exact GP log marginal likelihood of the training targets."""
     _require_noise(noise)
     K = kernels.gram(kernel, (1 << data.d) - 1, data.X, data.X)
-    return _likelihood(data.y, numerics.cholesky_psd(K, shift=noise))
+    return _likelihood(data.y, numerics.cholesky_psd(K, shift=noise))[0]
 
 
-def _likelihood(y: np.ndarray, factor: numerics.CholeskyFactor) -> float:
-    """Log density of the targets y under N(0, K + noise*I), given its factor."""
+def _likelihood(y: np.ndarray, factor: numerics.CholeskyFactor) -> tuple[float, float, float]:
+    """Log density of the targets y under N(0, K + noise*I), given its factor,
+    with two of its terms: y^T (K + noise*I)^-1 y and the log-determinant."""
     alpha = factor.solve(y)
-    return float(-0.5 * y @ alpha - 0.5 * factor.logdet() - 0.5 * y.size * np.log(2.0 * np.pi))
+    logdet = factor.logdet()
+    ll = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * y.size * np.log(2.0 * np.pi))
+    return ll, float(y @ alpha), logdet
 
 
-def _grid_row(data: Dataset, params: KernelParams, noises: list[float]) -> list[float]:
-    """The log marginal likelihood at ``params`` for each noise in turn, from
-    one gram factored in its own memory, and dropped on return."""
+def _grid_row(data: Dataset, params: KernelParams,
+              noises: Iterable[float]) -> Iterator[tuple[float, float, float, float, float]]:
+    """The noise, ``_likelihood``'s three numbers and the jitter the factor
+    needed, at ``params`` for each noise in turn, drawn from ``noises`` only
+    when the previous one is done.  One gram is factored in its own memory
+    for all of them; it is built at the first draw and dropped when the row
+    ends."""
     K = kernels.gram(params, (1 << data.d) - 1, data.X, data.X)
-    return [_likelihood(data.y, factor) for factor in numerics.cholesky_in_place(K, noises)]
+    drawn = []
+
+    def draw():
+        for noise in noises:
+            drawn.append(noise)
+            yield noise
+
+    for factor in numerics.cholesky_in_place(K, draw()):
+        yield (drawn[-1], *_likelihood(data.y, factor), factor.jitter_used)
+
+
+def _likelihood_bound(data: Dataset, params: KernelParams, q0: float, logdet0: float,
+                      s0: float, noise: float) -> float:
+    """An upper bound on the log marginal likelihood at ``noise`` and the
+    unit-variance ``params``, from the factor at noise s0 (jitter included):
+    q0 = y^T alpha and its log-determinant logdet0.  +inf where it does not
+    apply.  See ``fit``; tau bounds in the 2-norm the rounding of the gram's
+    GEMM form (``kernels.grams``: (d + 2) eps |x / ls|^2 + eps per entry at
+    most, n times that in the norm) and the backward error of the factor and
+    of each of its two triangular solves (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 8 and 10): (n + 1) eps || |L| |L^T| || each,
+    at most (n + 1) n eps (n + s0), as || |L| ||^2 <= n ||L||^2 and
+    ||L||^2 = ||K + s0 I|| <= trace(K) + s0 = n + s0."""
+    n = data.n
+    with np.errstate(over="ignore"):    # an infinite radius gives an infinite bound
+        radius = float(np.max(np.sum((data.X / params.lengthscales) ** 2, axis=1)))
+    tau = n * np.finfo(float).eps * ((data.d + 2) * radius + 1.0 + 3 * (n + 1) * (n + s0))
+    low, delta = s0 - tau, noise - s0 - 2.0 * tau
+    if not (low > 0.0 and delta > 0.0):
+        return np.inf
+    bound = (-0.5 * q0 * low / (noise + tau)
+             - 0.5 * (logdet0 + n * np.log1p(delta / (1.0 + s0 + tau)))
+             - 0.5 * n * np.log(2.0 * np.pi))
+    return float(bound) if np.isfinite(bound) else np.inf
 
 
 def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest_point",
@@ -227,14 +276,48 @@ def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest
     """The exact GP at the maximum of a log marginal likelihood grid, and that maximum.
 
     The grid crosses median-heuristic lengthscale multiples with fractions
-    of var(y) as noise, at unit kernel variance; it runs lengthscale-major
-    and the first maximum wins.  Each multiplier's n x n gram is factored
-    in its own memory for each of its noise levels in turn
-    (``numerics.cholesky_in_place``) and dropped before the next, so one
-    n x n buffer is held at a time and every likelihood, the returned one
-    too, equals a fresh ``log_marginal_likelihood`` bit for bit.
-    ``inducing`` None or at least n keeps every row; otherwise
-    ``select_inducing`` picks that many, before the search.
+    of var(y) as noise, at unit kernel variance; the first maximum in
+    lengthscale-major order wins.  A repeated multiplier or noise repeats
+    its likelihoods bit for bit and loses the tie, so each distinct value
+    is searched once.  The search is a branch and bound that returns the
+    exhaustive search's winner, noise and likelihood bit for bit, and
+    never factors a point the bound rules out:
+
+    1. Each multiplier's n x n gram K is factored at the smallest noise
+       s0, giving its likelihood, q0 = y^T alpha (the same alpha) and
+       L0 = log|K + s0' I|, where s0' is s0 plus the jitter it needed.
+    2. K is positive semi-definite, so the eigenvalues mu_i of K + s0' I
+       are at least s0'.  At a noise s = s0' + delta each term of
+       y^T (K + s I)^-1 y scales by mu_i / (mu_i + delta) >= s0' / s, so
+       the form is at least q0 s0' / s.  log(1 + delta / mu) is convex in
+       mu, so by Jensen's inequality log|K + s I| is at least
+       L0 + n log1p(delta / mu_bar), where mu_bar = trace(K) / n + s0' is
+       1 + s0' for a unit-variance gram.  Hence (Rasmussen & Williams,
+       GPML 2.2 and 5.4)
+
+           LML(s) <= -q0 s0' / (2 s) - (L0 + n log1p(delta / (1 + s0'))) / 2
+                     - n log(2 pi) / 2.
+
+       Rounding moves the matrix a factor and its solves represent by up
+       to tau in the 2-norm: the gram's entries' rounding plus the standard
+       backward error of the factorization and of each triangular solve
+       (``_likelihood_bound`` derives it).  So the bound takes s0' - tau for
+       the smallest eigenvalue, s + tau for the noise in the quadratic
+       term, delta - 2 tau and 1 + s0' + tau, and is +inf unless s0' > tau
+       and s > s0' + 2 tau.  Without tau the bound fails where the computed
+       gram is indefinite, as with a feature that carries a large offset.
+    3. The other points are visited one multiplier at a time, the best
+       bound first, and a multiplier's points in bound order through one
+       rebuilt gram.  A point is skipped only if its bound plus the margin
+       1e-6 (|q0| + |L0| + n), which covers rounding in the likelihoods,
+       is below the best likelihood so far: it cannot win or tie.
+
+    Each gram is factored in its own memory (``numerics.cholesky_in_place``)
+    and dropped before the next is built, so one n x n buffer is held at a
+    time, and every likelihood computed, the returned one too, equals a
+    fresh ``log_marginal_likelihood`` bit for bit.  ``inducing`` None or at
+    least n keeps every row; otherwise ``select_inducing`` picks that many,
+    before the search.
     """
     for name, values in (("ls_multipliers", ls_multipliers),
                          ("noise_fractions", noise_fractions)):
@@ -253,10 +336,36 @@ def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest
     noises = [frac * var_y for frac in noise_fractions]
     for noise in noises:
         _require_noise(noise)
-    best, best_ll = None, -np.inf
-    for mult in ls_multipliers:
-        params = KernelParams(variance=1.0, lengthscales=mult * base)
-        for noise, ll in zip(noises, _grid_row(data, params, noises)):
-            if ll > best_ll:
-                best, best_ll = (params, noise), ll
-    return fit_exact(data, *best, rows), best_ll
+    mults, noises = list(dict.fromkeys(ls_multipliers)), list(dict.fromkeys(noises))
+    params = [KernelParams(variance=1.0, lengthscales=mult * base) for mult in mults]
+    first = noises.index(min(noises))
+    best_ll, best_at = -np.inf, (len(mults), 0)     # past the grid's end
+
+    def offer(ll, at):
+        nonlocal best_ll, best_at
+        if ll > best_ll or (ll == best_ll and at < best_at):
+            best_ll, best_at = ll, at
+
+    def unruled(bounds, margin):
+        """The row's noises, best bound first, until the bound rules out the rest."""
+        for bound, k in bounds:
+            if bound + margin < best_ll:
+                return
+            yield noises[k]
+
+    rest = []
+    for i, p in enumerate(params):
+        ((_, ll, q0, logdet0, jitter),) = _grid_row(data, p, [noises[first]])
+        offer(ll, (i, first))
+        s0 = noises[first] + jitter
+        bounds = sorted(((_likelihood_bound(data, p, q0, logdet0, s0, s), k)
+                         for k, s in enumerate(noises) if k != first), key=lambda b: -b[0])
+        if bounds:
+            rest.append((bounds[0][0], bounds, 1e-6 * (abs(q0) + abs(logdet0) + data.n), i))
+    for top, bounds, margin, i in sorted(rest, key=lambda row: -row[0]):
+        if top + margin < best_ll:
+            continue
+        for noise, ll, *_ in _grid_row(data, params[i], unruled(bounds, margin)):
+            offer(ll, (i, noises.index(noise)))
+    i, k = best_at
+    return fit_exact(data, params[i], noises[k], rows), best_ll

@@ -21,7 +21,7 @@ NOISE_FRACTIONS = (1e-3, 1e-2, 1e-1, 1.0)
 
 
 def grid_points(data, ls_multipliers=LS_MULTIPLIERS, noise_fractions=NOISE_FRACTIONS):
-    """The (lengthscales, noise) the search visits, lengthscale-major."""
+    """The grid's (lengthscales, noise) points, lengthscale-major."""
     base = kernels.median_heuristic(data.X)
     var_y = float(np.var(data.y))
     return [(mult * base, frac * var_y) for mult in ls_multipliers for frac in noise_fractions]
@@ -32,9 +32,46 @@ def fresh_lml(data, lengthscales, noise):
     return gp.log_marginal_likelihood(data, params, noise)
 
 
-def grid_calls(rows):
-    """(params, noise, likelihood) of each grid point, from a spy on ``gp._grid_row``."""
-    return [(args[1], noise, ll) for args, _, lls in rows for noise, ll in zip(args[2], lls)]
+def record_points(monkeypatch):
+    """(params, noise, terms) of each grid point the search factors, in order, from a
+    spy on ``gp._grid_row``; terms are the likelihood, y^T alpha, the log-determinant
+    and the jitter."""
+    points, original = [], gp._grid_row
+
+    def recorded(data, params, noises):
+        for row in original(data, params, noises):
+            points.append((params, row[0], row[1:]))
+            yield row
+
+    monkeypatch.setattr(gp, "_grid_row", recorded)
+    return points
+
+
+def brute_force(data, ls_multipliers=LS_MULTIPLIERS, noise_fractions=NOISE_FRACTIONS):
+    """Every grid point's fresh likelihood, lengthscale-major, and the first maximum's index."""
+    fresh = [fresh_lml(data, *point)
+             for point in grid_points(data, ls_multipliers, noise_fractions)]
+    return fresh, int(np.argmax(fresh))
+
+
+def assert_exhaustive_result(data, post, ll, points, ls_multipliers=LS_MULTIPLIERS,
+                             noise_fractions=NOISE_FRACTIONS):
+    """The search's contract against a brute-force loop: each factored point equals
+    its fresh likelihood bit for bit and is factored once, every skipped point's
+    fresh likelihood is below the winner's, and the winner (the first maximum),
+    its noise and its likelihood are the brute force's bit for bit."""
+    grid = grid_points(data, ls_multipliers, noise_fractions)
+    fresh, best = brute_force(data, ls_multipliers, noise_fractions)
+    keys = [(ls.tobytes(), noise) for ls, noise in grid]
+    seen = [(params.lengthscales.tobytes(), noise) for params, noise, _ in points]
+    assert len(set(seen)) == len(seen)
+    for key, (_, _, terms) in zip(seen, points):
+        assert terms[0] == fresh[keys.index(key)]
+    for key, want in zip(keys, fresh):
+        assert key in seen or want < fresh[best]
+    lengthscales, noise = grid[best]
+    np.testing.assert_array_equal(post.kernel.lengthscales, lengthscales)
+    assert post.kernel.variance == 1.0 and post.noise == noise and ll == fresh[best]
 
 
 def traced_peak(fn):
@@ -203,6 +240,21 @@ class TestFitExact:
         # their block, and a copy to factor, held about 7
         assert peak < 6 * n * n * 8
 
+    def test_every_row_peaks_at_three_n_by_n_arrays(self, rng):
+        n = 400
+        data = make_regression(rng, n=n, d=3)
+        params = kernels.KernelParams(variance=1.3, lengthscales=np.full(3, 0.9))
+        post, peak = traced_peak(lambda: gp.fit_exact(data, params, 0.1))
+        # the expression the covariance is, with every temporary it makes
+        K = kernels.gram(params, 0b111, data.X, data.X)
+        factor = numerics.cholesky_psd(K, shift=0.1)
+        diff = K - K @ factor.solve(K.T)
+        assert post.mean_at_inducing.tobytes() == (K @ factor.solve(data.y)).tobytes()
+        assert post.cov_at_inducing.tobytes() == (0.5 * (diff + diff.T)).tobytes()
+        # the factor, the one copy of the gram and the solve; the expression's
+        # temporaries held five; 128 KiB covers numpy's buffers and the vectors
+        assert peak < 3 * n * n * 8 + 128 * 1024
+
     @pytest.mark.parametrize("noise", [np.inf, np.nan])
     def test_non_finite_noise_is_rejected(self, small_data, noise):
         params = kernels.KernelParams(variance=1.0, lengthscales=np.ones(3))
@@ -314,23 +366,29 @@ class TestSelectHyperparameters:
             assert best_ll >= fresh_lml(small_data, lengthscales, noise) - 1e-9
 
     def test_tie_breaks_to_earliest(self, small_data, monkeypatch):
+        # repeated values repeat their likelihoods bit for bit: the one distinct
+        # point is factored once, and the winner is the grid's first point
         grams = spy(monkeypatch, kernels, "gram")
-        rows = spy(monkeypatch, gp, "_grid_row")
-        post, _ = gp.fit(small_data, ls_multipliers=[1.0, 1.0], noise_fractions=[0.5, 0.5])
-        lmls = grid_calls(rows)
-        assert len(grams) == 2 + 1 and len(lmls) == 4 and len({ll for _, _, ll in lmls}) == 1
-        assert post.kernel is grams[0][0][0] and post.kernel is lmls[0][0]
-        assert post.noise == lmls[0][1] == 0.5 * float(np.var(small_data.y))
+        points = record_points(monkeypatch)
+        post, ll = gp.fit(small_data, ls_multipliers=[1.0, 1.0], noise_fractions=[0.5, 0.5])
+        monkeypatch.undo()
+        assert len(grams) == 1 + 1 and len(points) == 1
+        assert post.kernel is grams[0][0][0] and post.kernel is points[0][0]
+        assert post.noise == points[0][1] == 0.5 * float(np.var(small_data.y))
+        fresh, best = brute_force(small_data, [1.0, 1.0], [0.5, 0.5])
+        assert best == 0 and len(set(fresh)) == 1 and ll == fresh[0]
 
     def test_grid_crosses_the_given_multipliers_and_fractions(self, small_data, monkeypatch):
-        rows = spy(monkeypatch, gp, "_grid_row")
-        gp.fit(small_data, ls_multipliers=[0.5, 3.0], noise_fractions=[0.1, 0.2, 0.3])
-        lmls = grid_calls(rows)
-        want = grid_points(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
-        assert len(lmls) == len(want) == 6
-        for (params, got_noise, _), (lengthscales, noise) in zip(lmls, want):
+        points = record_points(monkeypatch)
+        post, ll = gp.fit(small_data, ls_multipliers=[0.5, 3.0], noise_fractions=[0.1, 0.2, 0.3])
+        monkeypatch.undo()
+        grid = grid_points(small_data, [0.5, 3.0], [0.1, 0.2, 0.3])
+        assert len(grid) == 6
+        # the first pass: each multiplier in order at the smallest noise
+        for (params, noise, _), (lengthscales, want) in zip(points, grid[::3]):
             np.testing.assert_array_equal(params.lengthscales, lengthscales)
-            assert params.variance == 1.0 and got_noise == noise
+            assert params.variance == 1.0 and noise == want
+        assert_exhaustive_result(small_data, post, ll, points, [0.5, 3.0], [0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize("ls,noise,message", [
         ([1.0, 0.0], [0.1], "ls_multipliers must be positive and finite, got 0.0"),
@@ -352,28 +410,38 @@ class TestSelectHyperparameters:
             gp.fit(small_data, ls_multipliers=[1.0], noise_fractions=[])
 
     def test_default_grid_shape(self, small_data, monkeypatch):
-        rows = spy(monkeypatch, gp, "_grid_row")
-        gp.fit(small_data)
-        lmls = grid_calls(rows)
-        assert len(rows) == 5 and len(lmls) == 20
-        noises = sorted({noise for _, noise, _ in lmls})
-        var_y = np.var(small_data.y)
-        assert noises[0] == pytest.approx(1e-3 * var_y)
-        assert noises[-1] == pytest.approx(var_y)
+        # the first pass factors each of the 5 multipliers at 1e-3 var(y) and
+        # bounds it at each other noise fraction: that is the whole grid
+        points = record_points(monkeypatch)
+        bounded = spy(monkeypatch, gp, "_likelihood_bound")
+        post, ll = gp.fit(small_data)
+        monkeypatch.undo()
+        var_y = float(np.var(small_data.y))
+        base = kernels.median_heuristic(small_data.X)
+        assert len(points) >= 5 and len(bounded) == 5 * 3
+        for mult, (params, noise, _) in zip([0.25, 0.5, 1.0, 2.0, 4.0], points):
+            np.testing.assert_array_equal(params.lengthscales, mult * base)
+            assert params.variance == 1.0 and noise == 1e-3 * var_y
+            rest = [args[5] for args, _, _ in bounded if args[1] is params]
+            assert rest == [1e-2 * var_y, 1e-1 * var_y, 1.0 * var_y]
+        assert_exhaustive_result(small_data, post, ll, points)
 
 
 class TestGramReuse:
-    """``gp.fit``'s search builds one n x n gram per lengthscale multiplier and
-    factors it in place for each noise level; ``fit_exact`` then builds its own."""
+    """``gp.fit``'s search builds one n x n gram per lengthscale multiplier in its
+    first pass and one more for each multiplier it revisits, each factored in
+    place for its noise levels; ``fit_exact`` then builds its own."""
 
     def test_default_grid_builds_one_gram_per_lengthscale(self, small_data, monkeypatch):
         grams = spy(monkeypatch, kernels, "gram")
         in_place, factored = [], numerics.cholesky_in_place
 
         def recorded(m, shifts, *args, **kwargs):
-            shifts = list(shifts)
-            in_place.append((m, shifts))
-            return factored(m, shifts, *args, **kwargs)
+            drawn = []
+            in_place.append((m, drawn))
+            for factor in factored(m, shifts, *args, **kwargs):
+                drawn.append(factor)
+                yield factor
 
         monkeypatch.setattr(numerics, "cholesky_in_place", recorded)
         grams_before_fit_exact, fit_exact = [], gp.fit_exact
@@ -383,14 +451,23 @@ class TestGramReuse:
             return fit_exact(*args, **kwargs)
 
         monkeypatch.setattr(gp, "fit_exact", counted)
+        points = record_points(monkeypatch)
         post, _ = gp.fit(small_data)
-        assert len(grams) == len(in_place) == 5 + 1 and grams_before_fit_exact == [5]
-        noises = [noise for _, noise in grid_points(small_data)[:4]]
-        for (_, _, K), (m, shifts) in zip(grams[:5], in_place):
-            assert m is K and shifts == noises
-        args, _, K = grams[5]
+        lengthscales = [ls for ls, _ in grid_points(small_data)[::4]]
+        revisited = [params for params, noise, _ in points[5:]]
+        revisits = [p for i, p in enumerate(revisited) if i == 0 or p is not revisited[i - 1]]
+        assert len(revisits) == len({id(p) for p in revisits}) <= 5
+        assert len(grams) == len(in_place) == 5 + len(revisits) + 1
+        assert grams_before_fit_exact == [5 + len(revisits)]
+        for (args, _, K), (m, drawn), want in zip(grams, in_place, lengthscales):
+            np.testing.assert_array_equal(args[0].lengthscales, want)
+            assert m is K and len(drawn) == 1
+        for (args, _, K), (m, drawn), params in zip(grams[5:], in_place[5:], revisits):
+            assert args[0] is params and m is K
+            assert len(drawn) == sum(p is params for p, _, _ in points[5:])
+        args, _, K = grams[-1]
         assert args[0] is post.kernel and K.shape == (30, 30)
-        assert in_place[5][0] is K and in_place[5][1] == [post.noise]
+        assert in_place[-1][0] is K and len(in_place[-1][1]) == 1
 
     def test_holds_at_most_one_gram(self, small_data, monkeypatch):
         refs, original = [], kernels.gram
@@ -402,23 +479,16 @@ class TestGramReuse:
             return K
 
         monkeypatch.setattr(kernels, "gram", tracked)
+        points = record_points(monkeypatch)
         gp.fit(small_data)
-        assert len(refs) == 5 + 1
+        revisited = {id(params) for params, _, _ in points[5:]}
+        assert len(refs) == 5 + len(revisited) + 1
 
     def test_grid_likelihoods_equal_fresh_calls_bit_for_bit(self, small_data, monkeypatch):
-        rows = spy(monkeypatch, gp, "_grid_row")
+        points = record_points(monkeypatch)
         post, ll = gp.fit(small_data)
         monkeypatch.undo()
-        lmls = grid_calls(rows)
-        grid = grid_points(small_data)
-        assert len(lmls) == 20
-        fresh = [fresh_lml(small_data, lengthscales, noise) for lengthscales, noise in grid]
-        for (params, got_noise, got), (lengthscales, noise), want in zip(lmls, grid, fresh):
-            np.testing.assert_array_equal(params.lengthscales, lengthscales)
-            assert got_noise == noise and got == want
-        lengthscales, noise = grid[int(np.argmax(fresh))]
-        np.testing.assert_array_equal(post.kernel.lengthscales, lengthscales)
-        assert post.noise == noise and ll == max(fresh)
+        assert_exhaustive_result(small_data, post, ll, points)
 
 
 INTERLEAVED = ([1.0, 0.5, 1.0, 2.0], [0.1, 1e-3, 1.0])
@@ -429,10 +499,10 @@ class TestFit:
     def test_bad_inducing_count_fails_before_the_search(self, small_data, monkeypatch,
                                                         inducing):
         grams = spy(monkeypatch, kernels, "gram")
-        rows = spy(monkeypatch, gp, "_grid_row")
+        points = record_points(monkeypatch)
         with pytest.raises(CountOutOfRange, match=f"count must be in \\[1, 30\\], got {inducing}"):
             gp.fit(small_data, inducing=inducing)
-        assert grams == [] and rows == []
+        assert grams == [] and points == []
 
     @pytest.mark.parametrize("grid", [(LS_MULTIPLIERS, NOISE_FRACTIONS), INTERLEAVED],
                              ids=["default", "interleaved"])
@@ -446,13 +516,16 @@ class TestFit:
     def test_builds_each_system_once_and_the_winners_twice(self, small_data, monkeypatch,
                                                            count_cholesky, grid, inducing):
         grams = spy(monkeypatch, kernels, "gram")
-        rows = spy(monkeypatch, gp, "_grid_row")
+        points = record_points(monkeypatch)
         ls, nf = grid
-        gp.fit(small_data, inducing, ls_multipliers=ls, noise_fractions=nf)
-        n = small_data.n
-        assert len(grid_calls(rows)) == len(ls) * len(nf)
-        assert sum(K.shape == (n, n) for _, _, K in grams) == len(ls) + 1
-        assert count_cholesky.count((n, n)) == len(ls) * len(nf) + 1
+        post, ll = gp.fit(small_data, inducing, ls_multipliers=ls, noise_fractions=nf)
+        monkeypatch.undo()
+        n, distinct = small_data.n, len(set(ls))
+        # the first pass, then each multiplier revisited; fit_exact's once more
+        revisited = {id(params) for params, _, _ in points[distinct:]}
+        assert sum(K.shape == (n, n) for _, _, K in grams) == distinct + len(revisited) + 1
+        assert count_cholesky.count((n, n)) == len(points) + 1
+        assert_exhaustive_result(small_data, post, ll, points, ls, nf)
 
     def test_the_search_holds_one_n_by_n_buffer(self, rng):
         n = 400
@@ -508,3 +581,101 @@ class TestPosteriorFactor:
         with pytest.raises(ValueError) as info:
             gp.GPPosterior.from_json(json.dumps(doc))
         assert str(info.value) == "posterior covariance is not positive semi-definite within 1e-8"
+
+
+def workload_data(d, n, seed):
+    """A benchmark-shaped dataset: X ~ N(0, I), y = sin x1 + x2^2 / 2 + x3 x4 + 0.1 eps."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2 + X[:, 2] * X[:, 3] + 0.1 * rng.normal(size=n)
+    return gp.Dataset(X=X, y=y)
+
+
+def duplicated_rows(seed):
+    """Every row twice with different targets, so K is singular and y leaves its range."""
+    data = workload_data(4, 60, seed)
+    rng = np.random.default_rng(seed + 100)
+    return gp.Dataset(X=np.vstack([data.X, data.X]),
+                      y=np.concatenate([data.y, data.y + 0.1 * rng.normal(size=60)]))
+
+
+def offset_feature(seed):
+    """One feature offset by 1e3: the gram's GEMM form cancels, and the computed
+    gram is indefinite at the scale of the smallest noises (where the bound
+    without its rounding allowance fails)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(113, 1))
+    return gp.Dataset(X=X + 1e3, y=np.sin(X[:, 0]) + 0.1 * rng.normal(size=113))
+
+
+REORDERED = ([4.0, 1.0, 0.25, 1.0], [1.0, 1e-3, 0.1, 1e-3])
+# on duplicated rows the smallest noise, 1e-16 var(y), needs jitter at most
+# multipliers, and 1e-13 var(y) lies below it plus that jitter
+TINY_NOISE = (LS_MULTIPLIERS, [1e-13, 1e-16, 1e-2, 1.0, 1e-16])
+BOUND_CASES = {
+    "enum-d10-default": (lambda: workload_data(10, 250, 1), (LS_MULTIPLIERS, NOISE_FRACTIONS)),
+    "enum-d10-reordered": (lambda: workload_data(10, 250, 2), REORDERED),
+    "prior-d6-default": (lambda: workload_data(6, 300, 1), (LS_MULTIPLIERS, NOISE_FRACTIONS)),
+    "prior-d6-reordered": (lambda: workload_data(6, 300, 5), REORDERED),
+    "duplicated-rows": (lambda: duplicated_rows(3), TINY_NOISE),
+    "offset-feature": (lambda: offset_feature(1), (LS_MULTIPLIERS, [1e-10, 1e-6, 1e-3, 1.0])),
+}
+
+
+class TestBoundedSearch:
+    """The likelihood bound ``gp.fit`` skips grid points by, against fresh likelihoods."""
+
+    @pytest.fixture(params=list(BOUND_CASES), ids=list(BOUND_CASES))
+    def case(self, request, monkeypatch):
+        make, (ls, nf) = BOUND_CASES[request.param]
+        data = make()
+        points = record_points(monkeypatch)
+        post, ll = gp.fit(data, ls_multipliers=ls, noise_fractions=nf)
+        monkeypatch.undo()
+        return data, ls, nf, post, ll, points
+
+    def first_pass(self, data, ls, nf, points):
+        """Each distinct multiplier's grid lengthscales with the bound of each grid
+        noise from the first pass's factor of it at the smallest noise."""
+        var_y = float(np.var(data.y))
+        s0 = min(nf) * var_y
+        first = {}
+        for params, noise, (_, q0, logdet0, jitter) in points:
+            if noise == s0:
+                first.setdefault(params.lengthscales.tobytes(), (params, q0, logdet0, s0 + jitter))
+        base = kernels.median_heuristic(data.X)
+        assert len(first) == len(set(ls))
+        return [(mult * base, [(frac * var_y, gp._likelihood_bound(
+                     data, *first[(mult * base).tobytes()], frac * var_y)) for frac in nf])
+                for mult in ls]
+
+    def test_every_point_is_below_its_bound(self, case):
+        data, ls, nf, _, _, points = case
+        for lengthscales, row in self.first_pass(data, ls, nf, points):
+            for noise, bound in row:
+                assert fresh_lml(data, lengthscales, noise) <= bound
+
+    def test_matches_a_brute_force_search_bit_for_bit(self, case):
+        data, ls, nf, post, ll, points = case
+        assert_exhaustive_result(data, post, ll, points, ls, nf)
+
+    def test_a_non_finite_bound_is_evaluated(self, monkeypatch):
+        data = duplicated_rows(3)
+        points = record_points(monkeypatch)
+        post, ll = gp.fit(data, ls_multipliers=TINY_NOISE[0], noise_fractions=TINY_NOISE[1])
+        monkeypatch.undo()
+        var_y = float(np.var(data.y))
+        rows = self.first_pass(data, *TINY_NOISE, points)
+        jittered = [(row, params) for row, (params, _, terms) in zip(rows, points) if terms[3] > 0]
+        assert len(jittered) >= 3
+        for (_, row), params in jittered:
+            assert row[0] == (1e-13 * var_y, np.inf)
+            # its likelihood is far below the winner's, and it is factored anyway
+            got = [terms[0] for p, noise, terms in points if p is params and noise == row[0][0]]
+            assert len(got) == 1 and got[0] < ll - 1e6
+
+    @pytest.mark.parametrize("d,n,most", [(10, 500, 11), (6, 300, 11)])
+    def test_the_bound_rules_out_points_on_the_workload_shapes(self, monkeypatch, d, n, most):
+        points = record_points(monkeypatch)
+        gp.fit(workload_data(d, n, 1))
+        assert len(points) <= most

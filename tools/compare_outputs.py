@@ -6,7 +6,8 @@
 For each workload of ``perfbench/workloads.py`` and each seed, the inputs come
 from its ``make_inputs``.  Each tree then runs, in its own copy of those inputs,
 the workload's session (fit, explain, analyze, predict-explain) and these
-further cases: ``fit -o -``, ``explain --algo gpshap|bayesgpshap|bayesshap``
+further cases: ``fit -o -``, ``fit`` on a reordered grid with repeated values
+(which checks the search's tie-break), ``explain --algo gpshap|bayesgpshap|bayesshap``
 with and without ``--credible 0.9``, ``explain --format csv`` and
 ``predict-explain --credible 0.9``.  Every command runs in a new interpreter
 with one BLAS thread.  A case differs when its exit code, standard output,
@@ -46,6 +47,9 @@ def cases(w, seed: int, work: Path) -> list[tuple[str, tuple[str, ...], tuple[st
            for s in steps.values()]
     fit, explain, predict = (rel(steps[c].argv) for c in ("fit", "explain", "predict-explain"))
     out.append(("fit -o -", fit + ("-o", "-"), ()))
+    out.append(("fit reordered grid", fit + ("--ls-multipliers", "4,1,0.25,1", "--noise-fractions",
+                                             "1,1e-3,0.1,1e-3", "-o", "posterior_reordered.json"),
+                ("posterior_reordered.json",)))
     for algo in ("gpshap", "bayesgpshap", "bayesshap"):
         for credible in ((), ("--credible", "0.9")):
             name = " ".join(("explain --algo", algo, *credible))
