@@ -13,7 +13,6 @@ factors only the grid points that can win, and conditions once.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -196,7 +195,7 @@ def fit_exact(data: Dataset, kernel: KernelParams, noise: float,
     else:
         inducing = np.asarray(inducing, dtype=int)
         K_ix, K_ii = K[inducing], K[np.ix_(inducing, inducing)]
-    (factor,) = numerics.cholesky_in_place(K, [noise])
+    factor = numerics.cholesky_in_place(K)(noise)
     mean = K_ix @ factor.solve(data.y)
     solved = factor.solve(K_ix.T)
     m = len(inducing)
@@ -223,25 +222,6 @@ def _likelihood(y: np.ndarray, factor: numerics.CholeskyFactor) -> tuple[float, 
     logdet = factor.logdet()
     ll = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * y.size * np.log(2.0 * np.pi))
     return ll, float(y @ alpha), logdet
-
-
-def _grid_row(data: Dataset, params: KernelParams,
-              noises: Iterable[float]) -> Iterator[tuple[float, float, float, float, float]]:
-    """The noise, ``_likelihood``'s three numbers and the jitter the factor
-    needed, at ``params`` for each noise in turn, drawn from ``noises`` only
-    when the previous one is done.  One gram is factored in its own memory
-    for all of them; it is built at the first draw and dropped when the row
-    ends."""
-    K = kernels.gram(params, (1 << data.d) - 1, data.X, data.X)
-    drawn = []
-
-    def draw():
-        for noise in noises:
-            drawn.append(noise)
-            yield noise
-
-    for factor in numerics.cholesky_in_place(K, draw()):
-        yield (drawn[-1], *_likelihood(data.y, factor), factor.jitter_used)
 
 
 def _likelihood_bound(data: Dataset, params: KernelParams, q0: float, logdet0: float,
@@ -308,16 +288,18 @@ def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest
        gram is indefinite, as with a feature that carries a large offset.
     3. The other points are visited one multiplier at a time, the best
        bound first, and a multiplier's points in bound order through one
-       rebuilt gram.  A point is skipped only if its bound plus the margin
-       1e-6 (|q0| + |L0| + n), which covers rounding in the likelihoods,
-       is below the best likelihood so far: it cannot win or tie.
+       rebuilt gram.  A visit ends at the first point whose bound plus the
+       margin 1e-6 (|q0| + |L0| + n), which covers rounding in the
+       likelihoods, is below the best likelihood so far: neither it nor a
+       later point, whose bound is no higher, can win or tie.
 
-    Each gram is factored in its own memory (``numerics.cholesky_in_place``)
-    and dropped before the next is built, so one n x n buffer is held at a
-    time, and every likelihood computed, the returned one too, equals a
-    fresh ``log_marginal_likelihood`` bit for bit.  ``inducing`` None or at
-    least n keeps every row; otherwise ``select_inducing`` picks that many,
-    before the search.
+    ``numerics.cholesky_in_place`` checks each gram once and returns the
+    function that factors it, in its own memory, at each noise visited.
+    The function and its factor are dropped before the next gram is built,
+    so one n x n buffer is held at a time, and every likelihood computed,
+    the returned one too, equals a fresh ``log_marginal_likelihood`` bit
+    for bit.  ``inducing`` None or at least n keeps every row; otherwise
+    ``select_inducing`` picks that many, before the search.
     """
     for name, values in (("ls_multipliers", ls_multipliers),
                          ("noise_fractions", noise_fractions)):
@@ -338,7 +320,7 @@ def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest
         _require_noise(noise)
     mults, noises = list(dict.fromkeys(ls_multipliers)), list(dict.fromkeys(noises))
     params = [KernelParams(variance=1.0, lengthscales=mult * base) for mult in mults]
-    first = noises.index(min(noises))
+    first, full = noises.index(min(noises)), (1 << data.d) - 1
     best_ll, best_at = -np.inf, (len(mults), 0)     # past the grid's end
 
     def offer(ll, at):
@@ -346,18 +328,13 @@ def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest
         if ll > best_ll or (ll == best_ll and at < best_at):
             best_ll, best_at = ll, at
 
-    def unruled(bounds, margin):
-        """The row's noises, best bound first, until the bound rules out the rest."""
-        for bound, k in bounds:
-            if bound + margin < best_ll:
-                return
-            yield noises[k]
-
     rest = []
     for i, p in enumerate(params):
-        ((_, ll, q0, logdet0, jitter),) = _grid_row(data, p, [noises[first]])
+        factor = numerics.cholesky_in_place(kernels.gram(p, full, data.X, data.X))(noises[first])
+        ll, q0, logdet0 = _likelihood(data.y, factor)
         offer(ll, (i, first))
-        s0 = noises[first] + jitter
+        s0 = noises[first] + factor.jitter_used
+        del factor                      # and its gram, before the next is built
         bounds = sorted(((_likelihood_bound(data, p, q0, logdet0, s0, s), k)
                          for k, s in enumerate(noises) if k != first), key=lambda b: -b[0])
         if bounds:
@@ -365,7 +342,11 @@ def fit(data: Dataset, inducing: Optional[int] = None, strategy: str = "farthest
     for top, bounds, margin, i in sorted(rest, key=lambda row: -row[0]):
         if top + margin < best_ll:
             continue
-        for noise, ll, *_ in _grid_row(data, params[i], unruled(bounds, margin)):
-            offer(ll, (i, noises.index(noise)))
+        factor_at = numerics.cholesky_in_place(kernels.gram(params[i], full, data.X, data.X))
+        for bound, k in bounds:
+            if bound + margin < best_ll:
+                break
+            offer(_likelihood(data.y, factor_at(noises[k]))[0], (i, k))
+        del factor_at
     i, k = best_at
     return fit_exact(data, params[i], noises[k], rows), best_ll

@@ -6,8 +6,8 @@ routes through a jittered Cholesky factorization.
 
 ``cholesky_psd`` checks its input for non-finite entries once and returns
 a Fortran-ordered factor from LAPACK's ``dpotrf``, so ``CholeskyFactor.solve``
-never rescans it.  ``cholesky_in_place`` makes the same factors, for a
-run of shifts, in a C-ordered gram's own memory instead of a copy.  The
+never rescans it.  ``cholesky_in_place`` returns a function making the
+same factors, at any shift, in a C-ordered gram's memory, not a copy.  The
 solve works on the right-hand side in its own layout: a vector or a
 column-major matrix is solved from the left, any other matrix from the
 right on its transpose, with no transposing copy.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -281,8 +281,8 @@ def cholesky_psd(m: np.ndarray, max_jitter: float = DEFAULT_MAX_JITTER, *,
     return _jittered(attempt, m.shape[0], max_jitter)
 
 
-def cholesky_in_place(m: np.ndarray, shifts: Iterable[float]) -> Iterator[CholeskyFactor]:
-    """Factors of ``m + s*I`` for each s of ``shifts`` in turn, each in ``m``'s own memory.
+def cholesky_in_place(m: np.ndarray) -> Callable[[float], CholeskyFactor]:
+    """A function that factors ``m + s*I``, for the shift s it is given, in ``m``'s own memory.
 
     ``m`` is a C-ordered symmetric matrix, of which (as in ``cholesky_psd``,
     whose factors these equal bit for bit in their lower triangle) only the
@@ -293,14 +293,14 @@ def cholesky_in_place(m: np.ndarray, shifts: Iterable[float]) -> Iterator[Choles
     ``dpotrf`` there, on the same escalating jitter as ``cholesky_psd``.  So
     ``m``'s strict lower triangle is never written and every factor's upper
     triangle holds it, not zeros: a factor is only fit for its own solves
-    and ``logdet``, and the next one overwrites it.  The diagonal is saved
-    when the first factor is asked for, so ``m`` serves one call only.
+    and ``logdet``, and the next call overwrites it.  ``m`` is checked and
+    its diagonal saved here, so ``m`` serves this one function only.
 
     Raises
     ------
     ValueError
-        If ``m`` is not a square C-ordered float array, or ``m`` or a shifted
-        diagonal is not finite.
+        If ``m`` is not a square C-ordered float array or is not finite
+        (here), or a shifted diagonal is not finite (in the returned function).
     JitterExceeded
         If a factorization fails with every jitter <= ``DEFAULT_MAX_JITTER``.
     """
@@ -310,7 +310,8 @@ def cholesky_in_place(m: np.ndarray, shifts: Iterable[float]) -> Iterator[Choles
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     a, diag = m.T, m.diagonal().copy()
-    for shift in shifts:
+
+    def factor(shift: float) -> CholeskyFactor:
         with np.errstate(over="ignore"):    # an overflow here fails the check
             shifted = diag + shift
         if not (np.isfinite(shift) and np.all(np.isfinite(shifted))):
@@ -321,7 +322,9 @@ def cholesky_in_place(m: np.ndarray, shifts: Iterable[float]) -> Iterator[Choles
             np.fill_diagonal(a, shifted + jitter)
             return lapack.dpotrf(a, lower=1, clean=0, overwrite_a=True)
 
-        yield _jittered(attempt, m.shape[0], DEFAULT_MAX_JITTER)
+        return _jittered(attempt, a.shape[0], DEFAULT_MAX_JITTER)
+
+    return factor
 
 
 def _mirror_upper(a: np.ndarray) -> None:

@@ -29,7 +29,8 @@ def rng():
 @pytest.fixture
 def count_cholesky(monkeypatch):
     """Records the shape of every matrix passed to ``numerics.cholesky_psd``,
-    and of ``numerics.cholesky_in_place``'s once for each factor it makes."""
+    and of ``numerics.cholesky_in_place``'s once for each call of the function
+    it returns."""
     calls = []
     original, in_place = numerics.cholesky_psd, numerics.cholesky_in_place
 
@@ -37,10 +38,15 @@ def count_cholesky(monkeypatch):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    def counted_in_place(m, *args, **kwargs):
-        for factor in in_place(m, *args, **kwargs):
-            calls.append(m.shape)
-            yield factor
+    def counted_in_place(m):
+        factor, shape = in_place(m), m.shape
+
+        def counted_factor(shift):
+            made = factor(shift)
+            calls.append(shape)
+            return made
+
+        return counted_factor
 
     monkeypatch.setattr(numerics, "cholesky_psd", counted)
     monkeypatch.setattr(numerics, "cholesky_in_place", counted_in_place)

@@ -80,6 +80,17 @@ class TestEmbeddingBatch:
         with pytest.raises(DesignMismatch):
             cme.embedding_batch(post, design, data.X[:2])
 
+    @pytest.mark.parametrize("batch", [cme.embedding_batch, cme.projected_batch],
+                             ids=["embedding", "projected"])
+    def test_posterior_feature_count_must_match_the_design(self, posterior, batch):
+        # instances that fit the design, from a posterior with one feature fewer
+        post, data = posterior
+        design = coalition.enumerate_coalitions(4)
+        X = np.hstack([data.X[:2], np.zeros((2, 1))])
+        with pytest.raises(DesignMismatch,
+                           match="posterior and design disagree on feature count"):
+            batch(post, design, X)
+
 
 class TestGameMoments:
     def test_moment_formulas(self, posterior):
@@ -98,6 +109,14 @@ class TestGameMoments:
                 game.payoff_cov, Bk @ post.cov_at_inducing @ Bk.T, atol=1e-12
             )
             assert numerics.is_psd(game.payoff_cov)
+
+    def test_batch_from_another_inducing_set_is_rejected(self, posterior, rng):
+        post, data = posterior
+        other, _ = fit_synthetic_posterior(rng, n=40, d=3, n_inducing=10)
+        batch = cme.embedding_batch(other, coalition.enumerate_coalitions(3), data.X[:2])
+        with pytest.raises(DesignMismatch,
+                           match="embedding batch and posterior disagree on inducing size"):
+            cme.game_moments(post, batch)
 
     def test_zero_posterior_cov_gives_exactly_zero_payoff_cov(self, posterior):
         post, data = posterior

@@ -86,6 +86,14 @@ class TestShapleyKernelWeight:
                 shapley_kernel_weight(5, s)
 
 
+class TestStochasticGame:
+    @pytest.mark.parametrize("mean_size,cov_size", [(7, 8), (8, 7), (8, 9)])
+    def test_moments_must_match_the_design_size(self, mean_size, cov_size):
+        with pytest.raises(ValueError, match="payoff moments do not match the design size"):
+            StochasticGame(design=enumerate_coalitions(3), payoff_mean=np.zeros(mean_size),
+                           payoff_cov=np.eye(cov_size))
+
+
 class TestDesignConstruction:
     def test_enumeration_order_and_count(self):
         design = enumerate_coalitions(3)

@@ -16,7 +16,7 @@ def compare(parent, change, cwd):
 
 def test_a_tree_matches_itself(tmp_path):
     res = compare(SRC, SRC, tmp_path)
-    assert (res.returncode, res.stdout) == (0, "0 of 14 cases differ\n"), res.stderr
+    assert (res.returncode, res.stdout) == (0, "0 of 15 cases differ\n"), res.stderr
 
 
 def test_a_changed_ell0_is_reported(tmp_path):
@@ -34,6 +34,6 @@ def test_a_changed_ell0_is_reported(tmp_path):
     differing = {line.split(": ")[1] for line in lines[:-1]}
     assert {"explain --algo bayesgpshap", "explain --algo bayesgpshap --credible 0.9",
             "session explain"} <= differing
-    assert not {"session fit", "fit -o -", "fit reordered grid", "explain --algo gpshap",
-                "session predict-explain"} & differing
-    assert lines[-1] == f"{len(lines) - 1} of 14 cases differ"
+    assert not {"session fit", "fit -o -", "fit reordered grid", "fit every row",
+                "explain --algo gpshap", "session predict-explain"} & differing
+    assert lines[-1] == f"{len(lines) - 1} of 15 cases differ"

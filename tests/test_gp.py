@@ -33,17 +33,43 @@ def fresh_lml(data, lengthscales, noise):
 
 
 def record_points(monkeypatch):
-    """(params, noise, terms) of each grid point the search factors, in order, from a
-    spy on ``gp._grid_row``; terms are the likelihood, y^T alpha, the log-determinant
-    and the jitter."""
-    points, original = [], gp._grid_row
+    """(params, noise, terms) of each grid point the search factors, in order: the
+    params of the gram from a spy on ``kernels.gram``, the noise from a spy on the
+    function ``numerics.cholesky_in_place`` returns for that gram, and the terms
+    (the likelihood, y^T alpha, the log-determinant and the jitter) from
+    ``gp._likelihood`` on the factor that call made.  ``fit_exact``'s factor goes
+    to no ``_likelihood``, so it makes no point.  Only weak references are held,
+    so the spies keep no gram alive."""
+    points, last_gram, last_factor = [], [], []
+    gram, in_place, likelihood = kernels.gram, numerics.cholesky_in_place, gp._likelihood
 
-    def recorded(data, params, noises):
-        for row in original(data, params, noises):
-            points.append((params, row[0], row[1:]))
-            yield row
+    def recorded_gram(params, *args, **kwargs):
+        K = gram(params, *args, **kwargs)
+        last_gram[:] = [params, weakref.ref(K)]
+        return K
 
-    monkeypatch.setattr(gp, "_grid_row", recorded)
+    def recorded_in_place(m):
+        params, made = last_gram
+        assert made() is m, "a gram factored in place that kernels.gram did not just build"
+        factor_at = in_place(m)
+
+        def recorded_factor(shift):
+            factor = factor_at(shift)
+            last_factor[:] = [params, shift, weakref.ref(factor)]
+            return factor
+
+        return recorded_factor
+
+    def recorded_likelihood(y, factor):
+        terms = likelihood(y, factor)
+        if last_factor and last_factor[2]() is factor:
+            points.append((last_factor[0], last_factor[1], (*terms, factor.jitter_used)))
+            last_factor.clear()
+        return terms
+
+    monkeypatch.setattr(kernels, "gram", recorded_gram)
+    monkeypatch.setattr(numerics, "cholesky_in_place", recorded_in_place)
+    monkeypatch.setattr(gp, "_likelihood", recorded_likelihood)
     return points
 
 
@@ -102,6 +128,8 @@ class TestDataset:
             gp.Dataset(X=np.zeros((3, 2)), y=np.zeros(4))
         with pytest.raises(ValueError):
             gp.Dataset(X=np.array([[np.nan, 0.0]]), y=np.zeros(1))
+        with pytest.raises(ValueError, match="dataset must contain at least one row"):
+            gp.Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
 
 
 class TestSelectInducing:
@@ -436,12 +464,16 @@ class TestGramReuse:
         grams = spy(monkeypatch, kernels, "gram")
         in_place, factored = [], numerics.cholesky_in_place
 
-        def recorded(m, shifts, *args, **kwargs):
-            drawn = []
+        def recorded(m):
+            drawn, factor_at = [], factored(m)
             in_place.append((m, drawn))
-            for factor in factored(m, shifts, *args, **kwargs):
-                drawn.append(factor)
-                yield factor
+
+            def recorded_factor(shift):
+                factor = factor_at(shift)
+                drawn.append(shift)
+                return factor
+
+            return recorded_factor
 
         monkeypatch.setattr(numerics, "cholesky_in_place", recorded)
         grams_before_fit_exact, fit_exact = [], gp.fit_exact
@@ -475,7 +507,9 @@ class TestGramReuse:
         def tracked(*args, **kwargs):
             assert all(ref() is None for ref in refs), "an earlier gram is still alive"
             K = original(*args, **kwargs)
-            refs.append(weakref.ref(K))
+            # K is a view of kernels.grams' stack, and a factor in its memory
+            # keeps that array alive, not the view: track the array
+            refs.append(weakref.ref(K if K.base is None else K.base))
             return K
 
         monkeypatch.setattr(kernels, "gram", tracked)

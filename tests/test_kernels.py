@@ -16,6 +16,13 @@ def params():
     return KernelParams(variance=2.0, lengthscales=np.array([1.0, 2.0, 0.5]))
 
 
+class TestKernelParams:
+    @pytest.mark.parametrize("variance", [0.0, -1.0, np.nan, np.inf])
+    def test_variance_must_be_positive_and_finite(self, variance):
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            KernelParams(variance=variance, lengthscales=np.ones(3))
+
+
 class TestFeatureSubset:
     def test_bounds(self):
         with pytest.raises(ValueError):

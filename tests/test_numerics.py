@@ -247,16 +247,21 @@ class TestShift:
             assert a.flags.f_contiguous and kwargs["overwrite_a"] is True
             np.testing.assert_array_equal(given, (m + 1e-17 * np.eye(12)) + jitter * np.eye(12))
 
-    @pytest.mark.parametrize("m,shift", [
-        (np.eye(2), np.inf),
-        (np.eye(2), -np.inf),
-        (np.eye(2), np.nan),
-        (1e308 * np.eye(2), 1e308),      # finite shift, but the diagonal overflows
-    ], ids=["inf", "minus-inf", "nan", "diagonal-overflows"])
-    def test_non_finite_shifted_diagonal_is_rejected(self, m, shift):
+    NON_FINITE = "matrix contains non-finite entries"
+
+    @pytest.mark.parametrize("m,shift,message", [
+        (np.eye(2), np.inf, NON_FINITE),
+        (np.eye(2), -np.inf, NON_FINITE),
+        (np.eye(2), np.nan, NON_FINITE),
+        (1e308 * np.eye(2), 1e308, NON_FINITE),     # finite shift, but the diagonal overflows
+        # a matrix that is not square is rejected before its entries are read
+        (np.zeros((2, 3)), 0.0, r"expected a square matrix, got shape \(2, 3\)"),
+        (np.ones(3), 0.0, r"expected a square matrix, got shape \(3,\)"),
+    ], ids=["inf", "minus-inf", "nan", "diagonal-overflows", "not-square", "vector"])
+    def test_non_finite_shifted_diagonal_is_rejected(self, m, shift, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            with pytest.raises(ValueError, match=message):
                 numerics.cholesky_psd(m, shift=shift)
 
     def test_shift_is_keyword_only(self):
@@ -282,7 +287,9 @@ class TestCholeskyInPlace:
         assert n < 12 or not np.array_equal(m, m.T)
         pristine, shifts = m.copy(), [1e-3, 1e-2, 0.1, 1.0]
         y = np.random.default_rng(n).normal(size=n)
-        for shift, got in zip(shifts, numerics.cholesky_in_place(m, shifts)):
+        factor = numerics.cholesky_in_place(m)
+        for shift in shifts:
+            got = factor(shift)
             want = numerics.cholesky_psd(pristine, shift=shift)
             assert np.shares_memory(got.lower, m) and got.lower.flags.f_contiguous
             assert np.tril(got.lower).tobytes() == want.lower.tobytes()
@@ -298,8 +305,9 @@ class TestCholeskyInPlace:
         # on its unit diagonal, so the first attempt fails part way through
         m = gram_of(150, repeat=40)
         pristine, shifts = m.copy(), [1e-20, 0.5, 1e-20]
-        factors = []
-        for shift, got in zip(shifts, numerics.cholesky_in_place(m, shifts)):
+        factors, factor = [], numerics.cholesky_in_place(m)
+        for shift in shifts:
+            got = factor(shift)
             want = numerics.cholesky_psd(pristine, shift=shift)
             factors.append(got.jitter_used)
             assert got.jitter_used == want.jitter_used
@@ -310,23 +318,30 @@ class TestCholeskyInPlace:
     def test_jitter_beyond_the_cap_fails(self):
         m = -gram_of(12)
         with pytest.raises(JitterExceeded, match="12x12 matrix at jitter cap 0.0001"):
-            next(numerics.cholesky_in_place(m, [0.5]))
+            numerics.cholesky_in_place(m)(0.5)
 
     @pytest.mark.parametrize("m", [np.zeros((3, 4)), np.asfortranarray(gram_of(5)),
                                    gram_of(5)[::2, ::2], np.eye(3, dtype=int)],
                              ids=["not-square", "fortran", "strided", "int"])
     def test_only_a_square_c_ordered_float_matrix_is_taken(self, m):
+        # the call itself checks m, before any factor is asked for
         with pytest.raises(ValueError, match="expected a square C-ordered float matrix"):
-            next(numerics.cholesky_in_place(m, [0.1]))
+            numerics.cholesky_in_place(m)
 
-    @pytest.mark.parametrize("m,shift", [(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.1),
-                                         (np.eye(2), np.inf), (1e308 * np.eye(2), 1e308)],
-                             ids=["nan-entry", "inf-shift", "diagonal-overflows"])
-    def test_non_finite_entries_are_rejected(self, m, shift):
+    @pytest.mark.parametrize("m,shift,at_call", [
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), 0.1, True),
+        (np.eye(2), np.inf, False),
+        (1e308 * np.eye(2), 1e308, False),
+    ], ids=["nan-entry", "inf-shift", "diagonal-overflows"])
+    def test_non_finite_entries_are_rejected(self, m, shift, at_call):
+        # a non-finite entry fails the call itself; a shift that leaves the
+        # diagonal non-finite fails only the factor asked for at it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="matrix contains non-finite entries"):
-                next(numerics.cholesky_in_place(m, [shift]))
+                factor = numerics.cholesky_in_place(m)
+                assert not at_call, "the call did not check m"
+                factor(shift)
 
 
 def solve_problem():

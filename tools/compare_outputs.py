@@ -7,10 +7,11 @@ For each workload of ``perfbench/workloads.py`` and each seed, the inputs come
 from its ``make_inputs``.  Each tree then runs, in its own copy of those inputs,
 the workload's session (fit, explain, analyze, predict-explain) and these
 further cases: ``fit -o -``, ``fit`` on a reordered grid with repeated values
-(which checks the search's tie-break), ``explain --algo gpshap|bayesgpshap|bayesshap``
-with and without ``--credible 0.9``, ``explain --format csv`` and
-``predict-explain --credible 0.9``.  Every command runs in a new interpreter
-with one BLAS thread.  A case differs when its exit code, standard output,
+(which checks the search's tie-break), ``fit`` on every training row
+(``--inducing`` the row count, the exact GP's every-row branch),
+``explain --algo gpshap|bayesgpshap|bayesshap`` with and without
+``--credible 0.9``, ``explain --format csv`` and ``predict-explain --credible
+0.9``.  Every command runs in a new interpreter with one BLAS thread.  A case differs when its exit code, standard output,
 standard error or a file it writes differs.  The tool prints one line per
 differing case and exits 1 if there is one, else 0 (2 for bad arguments).
 """
@@ -50,6 +51,9 @@ def cases(w, seed: int, work: Path) -> list[tuple[str, tuple[str, ...], tuple[st
     out.append(("fit reordered grid", fit + ("--ls-multipliers", "4,1,0.25,1", "--noise-fractions",
                                              "1,1e-3,0.1,1e-3", "-o", "posterior_reordered.json"),
                 ("posterior_reordered.json",)))
+    out.append(("fit every row", fit + ("--inducing", str(w.n_train),
+                                        "-o", "posterior_every_row.json"),
+                ("posterior_every_row.json",)))
     for algo in ("gpshap", "bayesgpshap", "bayesshap"):
         for credible in ((), ("--credible", "0.9")):
             name = " ".join(("explain --algo", algo, *credible))
